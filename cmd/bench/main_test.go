@@ -104,7 +104,7 @@ func TestListMode(t *testing.T) {
 		t.Fatalf("-list exit = %d\nstderr:\n%s", code, &stderr)
 	}
 	for _, want := range []string{"vm/jess-small", "memsim/stride-sweep", "grid/compress-small-3modes",
-		"exec/jess-small-interp", "exec/jess-small-compiled"} {
+		"exec/jess-small-compiled"} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("-list output missing %s:\n%s", want, &stdout)
 		}

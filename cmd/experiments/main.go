@@ -5,7 +5,7 @@
 //
 //	experiments [-size small|full] [-only table1,fig6,...] [-parallel N]
 //	            [-json] [-trace out.json] [-metrics out.csv] [-hw model]
-//	            [-predict source] [-exec backend]
+//	            [-predict source]
 //
 // Without -only it runs everything in paper order (the opt-in hwcross
 // and predict artifacts — the software×hardware prefetching cross-product
@@ -13,13 +13,11 @@
 // selected explicitly). -hw replays every cell under one
 // hardware-prefetcher model instead of each machine's default; -predict
 // replays every cell under one prediction source (dynamic inspection,
-// the offline static analyzer, or PGO profile replay); -exec runs every
-// cell on one execution backend (the interpreter's step loop or the
-// threaded-code compiled tier — semantically identical, so stdout is
-// byte-for-byte the same either way). Results are printed as
-// text tables with the paper's reported numbers alongside for comparison;
-// -json emits one JSON object per row instead (machine-readable, for
-// tracking benchmark trajectories across commits). Experiment cells are
+// the offline static analyzer, or PGO profile replay). Results are
+// printed as text tables with the paper's reported numbers alongside for
+// comparison; -json emits one JSON object per row instead
+// (machine-readable, for tracking benchmark trajectories across
+// commits). Experiment cells are
 // scheduled across a worker pool of -parallel simulations (default
 // GOMAXPROCS); per-cell timing and progress lines go to stderr, so stdout
 // is byte-identical at every parallelism level.
@@ -82,7 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	metricsOut := fs.String("metrics", "", "write telemetry as CSV metric rows to this file")
 	hwFlag := fs.String("hw", "", "hardware-prefetcher model for every cell (default: each machine's model)")
 	predictFlag := fs.String("predict", "", "prediction source for every cell: dynamic, static, or pgo (default: dynamic)")
-	execFlag := fs.String("exec", "", "execution backend for every cell: interp or compiled (default: interp)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -108,11 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	defer harness.SetPredict("")
-	if err := harness.SetExec(*execFlag); err != nil {
-		fmt.Fprintf(stderr, "experiments: %v\n", err)
-		return 2
-	}
-	defer harness.SetExec("")
 
 	known := map[string]bool{}
 	for _, a := range artifacts {

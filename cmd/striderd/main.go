@@ -7,12 +7,6 @@
 //
 //	striderd -addr 127.0.0.1:8120
 //	striderd -addr 127.0.0.1:0 -shards 8 -queue 128 -cache 4096 -pool 512
-//	striderd -exec compiled
-//
-// -exec sets the process-default execution backend (interp or compiled)
-// applied to jobs that leave their exec field empty. Responses are
-// byte-identical either way — the backends are semantically equivalent —
-// but the compiled tier serves cells faster.
 //
 // Endpoints:
 //
@@ -42,9 +36,7 @@ import (
 	"syscall"
 	"time"
 
-	"strider/internal/harness"
 	"strider/internal/server"
-	"strider/internal/vm"
 )
 
 func main() {
@@ -64,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	cache := fs.Int("cache", 0, "cached results per shard (0 = default 1024, negative disables)")
 	pool := fs.Int("pool", 0, "max cells with a parked VM (0 = default 256, negative disables)")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "bound on the shutdown drain")
-	execFlag := fs.String("exec", "", "default execution backend for jobs that leave exec empty: interp or compiled")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -72,15 +63,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintf(stderr, "striderd: unexpected arguments: %v\n", fs.Args())
 		return 2
 	}
-	if _, err := vm.ParseExec(*execFlag); err != nil {
-		fmt.Fprintf(stderr, "striderd: %v\n", err)
-		return 2
-	}
-	if err := harness.SetExec(*execFlag); err != nil {
-		fmt.Fprintf(stderr, "striderd: %v\n", err)
-		return 2
-	}
-	defer harness.SetExec("")
 
 	srv := server.New(server.Config{
 		Shards:       *shards,

@@ -28,14 +28,9 @@
 // (the offline analyzer, no execution), or pgo (replay a recorded
 // profile of a dynamic run of the same cell).
 //
-// -exec selects the execution backend for JIT-compiled methods: interp
-// (the step loop, the default) or compiled (the threaded-code tier).
-// The backends are semantically identical — same cycles, checksums, and
-// traces — and differ only in host-side speed.
-//
 // Exit status: 0 on success, 1 on execution or verification failure,
 // 2 on a usage error (unknown workload, machine, mode, size, gc, hw
-// model, prediction source, or exec backend).
+// model, or prediction source).
 package main
 
 import (
@@ -71,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	gcFlag := fs.String("gc", "compact", "compact (sliding compaction) or freelist")
 	hwFlag := fs.String("hw", "", "hardware-prefetcher model: "+strings.Join(memsim.HWModels(), ", ")+" (default: the machine's model)")
 	predictFlag := fs.String("predict", "", "prediction source: "+strings.Join(jit.PredictSources(), ", ")+" (default: dynamic)")
-	execFlag := fs.String("exec", "", "execution backend: "+strings.Join(vm.ExecNames(), ", ")+" (default: interp)")
 	list := fs.Bool("list", false, "list workloads and exit")
 	dot := fs.String("dot", "", "print the annotated load dependence graphs of a compiled method (qualified name, e.g. ::findInMemory) in Graphviz dot format")
 	explain := fs.Bool("explain", false, "print the per-loop prefetch decision log instead of the metric summary")
@@ -139,11 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*predictFlag, strings.Join(jit.PredictSources(), ", "))
 		return 2
 	}
-	if _, err := vm.ParseExec(*execFlag); err != nil {
-		fmt.Fprintf(stderr, "striderun: unknown exec backend %q (valid: %s)\n",
-			*execFlag, strings.Join(vm.ExecNames(), ", "))
-		return 2
-	}
 
 	if *verify {
 		rep, err := harness.Verify(*workload, size, gc)
@@ -169,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *explain {
 		log, err := harness.Explain(harness.Spec{
 			Workload: *workload, Machine: *machine, Mode: mode, Size: size, GC: gc, HW: *hwFlag,
-			Predict: *predictFlag, Exec: *execFlag,
+			Predict: *predictFlag,
 		})
 		if err != nil {
 			fmt.Fprintf(stderr, "striderun: %v\n", err)
@@ -181,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	s, err := harness.Run(harness.Spec{
 		Workload: *workload, Machine: *machine, Mode: mode, Size: size, GC: gc, HW: *hwFlag,
-		Predict: *predictFlag, Exec: *execFlag,
+		Predict: *predictFlag,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "striderun: %v\n", err)

@@ -56,9 +56,11 @@ func Suite() []Entry {
 		}},
 
 		// Steady-state engine speed: one VM reused across iterations
-		// (ResetRun between runs), so this isolates the interpreter +
+		// (ResetRun between runs), so this isolates the execution +
 		// memory-model loop from build and JIT costs. After the first
-		// (warmup) iteration this path performs zero heap allocations.
+		// (warmup) iteration every method is JIT-compiled, so the loop is
+		// the threaded tier's; the name is kept so the entry's history
+		// continues. It performs zero heap allocations.
 		{Name: "interp/search-small-steady", Make: func() (func() (Work, error), error) {
 			w, err := workloads.ByName("search")
 			if err != nil {
@@ -82,17 +84,13 @@ func Suite() []Entry {
 			}, nil
 		}},
 
-		// The execution tier isolated: the same steady-state jess run on
-		// the interpreter's step loop and on the threaded-code compiled
-		// tier (internal/compile), with the memory hierarchy replaced by a
+		// The execution tier isolated: a steady-state jess run on the
+		// threaded-code tier (internal/compile) that runs every
+		// JIT-compiled method, with the memory hierarchy replaced by a
 		// zero-latency model so host time measures instruction execution
-		// rather than cache simulation (which both backends share
-		// unchanged). The pair's Work signatures must be identical — the
-		// backends simulate the same machine-level work — and the compiled
-		// entry's ns/op is the tentpole's headline: the threaded tier must
-		// hold a >=2x step over the interpreted twin.
-		execEntry("exec/jess-small-interp", vm.ExecInterp),
-		execEntry("exec/jess-small-compiled", vm.ExecCompiled),
+		// rather than cache simulation. The name is kept so the entry's
+		// history continues.
+		execEntry("exec/jess-small-compiled"),
 
 		// The cache/TLB model alone: a strided load/store sweep with a
 		// pointer-chase-like reuse pattern, no interpreter in the loop.
@@ -323,11 +321,11 @@ func hwEntry(name, model string) Entry {
 	}}
 }
 
-// flatMem is the zero-latency memory model the exec/* pair runs over:
+// flatMem is the zero-latency memory model the exec/* entry runs over:
 // loads and stores complete instantly and prefetches report a fill. It
 // keeps the architectural semantics (same values, same control flow,
-// same retirement counts) while taking the — backend-independent —
-// cache simulation out of the timed loop.
+// same retirement counts) while taking the cache simulation out of the
+// timed loop.
 type flatMem struct{}
 
 func (flatMem) LoadAt(addr, size uint32, now uint64, pc uint64) uint64 { return 0 }
@@ -336,17 +334,17 @@ func (flatMem) Prefetch(addr uint32, guarded bool, now uint64) telemetry.Prefetc
 	return telemetry.PrefetchFetched
 }
 
-// execEntry builds one side of the execution-tier pair: a steady-state
-// jess run (one VM, JIT warmed, ResetRun between iterations) on the
-// given backend over the zero-latency memory model.
-func execEntry(name string, exec vm.Exec) Entry {
+// execEntry builds the execution-tier entry: a steady-state jess run (one
+// VM, JIT warmed, ResetRun between iterations) over the zero-latency
+// memory model.
+func execEntry(name string) Entry {
 	return Entry{Name: name, Make: func() (func() (Work, error), error) {
 		w, err := workloads.ByName("jess")
 		if err != nil {
 			return nil, err
 		}
 		prog := w.Build(workloads.SizeSmall)
-		v := vm.New(prog, vm.Config{Machine: arch.Pentium4(), Mode: jit.InterIntra, HeapBytes: w.HeapBytes, Exec: exec})
+		v := vm.New(prog, vm.Config{Machine: arch.Pentium4(), Mode: jit.InterIntra, HeapBytes: w.HeapBytes})
 		// SetMem, not a field write: it unpins the engine's devirtualized
 		// fast lane along with the model, so every access really dispatches
 		// through flatMem.

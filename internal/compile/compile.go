@@ -1,6 +1,10 @@
 // Package compile is the VM's compiled execution tier: it translates a
 // JIT-compiled IR method into a pre-decoded micro-op stream executed by a
-// two-level threaded dispatch.
+// two-level threaded dispatch. The VM builds one for every method it
+// JIT-compiles, so every compiled activation runs here; interpreted
+// activations run on the interpreter's step loop, which is also the
+// reference this package's differential and trap-parity tests compare
+// against.
 //
 // Where the interpreter re-decodes every ir.Instr on every execution —
 // operand registers, field offsets, branch targets, static-slot map

@@ -2,9 +2,10 @@
 // twice on otherwise identical engines — once through the interpreter loop
 // (Compiled code without a threaded artifact) and once through the
 // pre-decoded micro-op stream — and the results, traps, and the full
-// cycle/instruction accounting must agree bit for bit. This is the
-// package-local form of the oracle differ's exec axis, small enough to
-// pin each micro-kind and trap path individually.
+// cycle/instruction accounting must agree bit for bit. The VM always runs
+// compiled methods threaded, so this is where the tier is compared with
+// the interpreter loop directly, small enough to pin each micro-kind and
+// trap path individually.
 package compile_test
 
 import (

@@ -44,11 +44,11 @@ type Stat struct {
 // have no pattern; a dominant delta of 0 (loop-invariant address) is
 // reported as no pattern — invariant loads need no prefetching.
 func Dominant(deltas []int64, threshold float64) (int64, bool) {
-	d, ok := dominant(deltas, threshold)
-	if d == 0 {
+	s := dominantStat(deltas, threshold)
+	if !s.OK || s.Stride == 0 {
 		return 0, false
 	}
-	return d, ok
+	return s.Stride, true
 }
 
 // dominantStat counts a delta sequence and returns the winner with its
@@ -73,17 +73,6 @@ func dominantStat(deltas []int64, threshold float64) Stat {
 	}
 	s.OK = float64(bestN) >= threshold*float64(len(deltas))
 	return s
-}
-
-// dominant is Dominant without the zero-value rejection: the phased
-// detector needs it, because a zero phase of an alternating pattern is
-// exploitable as long as the period still advances.
-func dominant(deltas []int64, threshold float64) (int64, bool) {
-	s := dominantStat(deltas, threshold)
-	if !s.OK {
-		return 0, false
-	}
-	return s.Stride, true
 }
 
 // Inter detects an inter-iteration stride for one load from its full trace

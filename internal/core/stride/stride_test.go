@@ -79,6 +79,24 @@ func TestInterIrregular(t *testing.T) {
 	}
 }
 
+func TestInterRejectsAlternatingStrides(t *testing.T) {
+	// Two alternating strides (8, 40, 8, 40, ...) split the deltas evenly,
+	// so neither reaches the majority: the paper's algorithm looks for
+	// single strides only.
+	var addrs []uint32
+	for i, a := 0, uint32(0x1000); i < 16; i++ {
+		addrs = append(addrs, a)
+		if i%2 == 0 {
+			a += 8
+		} else {
+			a += 40
+		}
+	}
+	if _, ok := Inter(trace(addrs...), DefaultThreshold); ok {
+		t.Error("single-stride detector accepted an 8/40 alternation")
+	}
+}
+
 func TestInterMultipleExecutionsPerIteration(t *testing.T) {
 	// A load in a promoted nested loop executes several times per outer
 	// iteration; the dominant delta is the inner advance.

@@ -51,13 +51,6 @@ type Spec struct {
 	// and caches the profile from a dynamic run of the same cell). Empty
 	// means the process default (SetPredict), which defaults to dynamic.
 	Predict string
-	// Exec selects the execution backend for JIT-compiled methods:
-	// "interp" (the step loop) or "compiled" (the threaded-code tier).
-	// Empty means the process default (SetExec), which defaults to
-	// interp. The backends are semantically identical, so this axis only
-	// changes host-side speed — but it is part of the cell key, because
-	// pooled VMs and cached artifacts are backend-specific.
-	Exec string
 }
 
 func (s Spec) withDefaults() Spec {
@@ -76,12 +69,6 @@ func (s Spec) withDefaults() Spec {
 	if s.Predict == "" {
 		s.Predict = "dynamic"
 	}
-	if s.Exec == "" {
-		s.Exec = ExecBackend()
-	}
-	if s.Exec == "" {
-		s.Exec = "interp"
-	}
 	return s
 }
 
@@ -99,11 +86,6 @@ func (s Spec) key() string {
 	// only the new sources extend the key.
 	if s.Predict != "" && s.Predict != "dynamic" {
 		j += "|pr:" + s.Predict
-	}
-	// Likewise, the interpreted backend is the identity pre-existing keys
-	// encoded.
-	if s.Exec != "" && s.Exec != "interp" {
-		j += "|ex:" + s.Exec
 	}
 	return fmt.Sprintf("%s|%s|%s|%s|gc%d|w%d|h%d%s",
 		s.Workload, s.Size, s.Machine, s.Mode, s.GC, s.Warmups, s.HeapBytes, j)
@@ -144,9 +126,6 @@ var (
 
 	predictMu      sync.Mutex
 	predictDefault string
-
-	execMu      sync.Mutex
-	execDefault string
 )
 
 // SetHWModel installs the process-wide default hardware-prefetcher model
@@ -192,28 +171,6 @@ func PredictSource() string {
 	predictMu.Lock()
 	defer predictMu.Unlock()
 	return predictDefault
-}
-
-// SetExec installs the process-wide default execution backend applied to
-// specs that leave Exec empty (the experiments CLI's -exec flag). Empty
-// restores the built-in default (the interpreter's step loop). Returns
-// an error for a backend vm does not know.
-func SetExec(name string) error {
-	if _, err := vm.ParseExec(name); err != nil {
-		return fmt.Errorf("harness: %w", err)
-	}
-	execMu.Lock()
-	defer execMu.Unlock()
-	execDefault = name
-	return nil
-}
-
-// ExecBackend returns the process-wide default execution backend
-// ("" when unset).
-func ExecBackend() string {
-	execMu.Lock()
-	defer execMu.Unlock()
-	return execDefault
 }
 
 // SetRecorder installs a process-wide telemetry Recorder: every fresh VM
@@ -395,16 +352,11 @@ func NewVM(s Spec, rec telemetry.Recorder) (*vm.VM, error) {
 			jitOpts.Profile = prof
 		}
 	}
-	xb, err := vm.ParseExec(s.Exec)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %w", err)
-	}
 	return vm.New(prog, vm.Config{
 		Machine:   m,
 		Mode:      s.Mode,
 		HeapBytes: heapBytes,
 		GC:        s.GC,
-		Exec:      xb,
 		JIT:       jitOpts,
 		Recorder:  rec,
 	}), nil

@@ -6,7 +6,11 @@
 // The engine runs both interpreted and JIT-compiled activations (the
 // dispatcher decides per invocation); interpreted instructions pay the
 // machine's interpretation penalty, which is how the mixed-mode
-// compiled-code fractions of Table 3 arise.
+// compiled-code fractions of Table 3 arise. Interpreted activations run
+// on the engine's step loop. The VM hands every JIT-compiled activation
+// a threaded artifact (internal/compile), which Run steps instead; the
+// step loop's compiled accounting remains the reference that artifact is
+// tested against.
 package interp
 
 import (
@@ -44,10 +48,14 @@ type Code struct {
 	NumRegs  int
 	Compiled bool
 
-	// Threaded, when non-nil, is the method's pre-decoded micro-op stream
-	// (built by internal/compile at JIT compile time). Run steps it in
-	// place of the interpreter loop; Instrs stays authoritative for trap
-	// attribution and for frames that predate the artifact.
+	// Threaded, when non-nil, is the method's pre-decoded micro-op stream.
+	// The VM builds one (internal/compile) for every method it
+	// JIT-compiles, and Run steps it in place of the interpreter loop.
+	// Interpreted code has none, so interpreted activations — including
+	// ones pushed before their method was compiled — run the step loop.
+	// Instrs stays authoritative for trap attribution. A Compiled code
+	// with no artifact runs the step loop with compiled accounting: the
+	// reference the threaded tier's differential tests compare against.
 	Threaded ThreadedCode
 }
 

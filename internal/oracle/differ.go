@@ -3,8 +3,9 @@ package oracle
 // The differ: run one program through the full JIT+memsim stack under
 // every prefetching configuration on both machine models, and assert that
 // each run's architectural fingerprint equals the reference
-// interpreter's. This is the only file in the package that imports the
-// real execution stack.
+// interpreter's. Every cell runs its JIT-compiled methods on the threaded
+// tier (internal/compile), so the whole matrix also pins that tier. This
+// is the only file in the package that imports the real execution stack.
 
 import (
 	"errors"
@@ -43,12 +44,6 @@ type Configuration struct {
 	// mispredicted static prefetch touches the wrong line early — it must
 	// never change what the program computes, and this axis proves it.
 	Predict jit.PredictSource
-	// Exec selects the execution backend for JIT-compiled methods (the
-	// interpreter's step loop or the threaded-code tier). The compiled
-	// tier claims exact semantic equivalence — same fingerprint, same
-	// traps, same load stream — and this axis proves it against the
-	// prefetch-blind reference.
-	Exec vm.Exec
 }
 
 // Label renders the configuration compactly, e.g. "Pentium4/inter+intra+ip"
@@ -64,9 +59,6 @@ func (c Configuration) Label() string {
 	}
 	if c.Predict != jit.PredictDynamic {
 		l += "+p:" + c.Predict.String()
-	}
-	if c.Exec != vm.ExecInterp {
-		l += "+x:" + c.Exec.String()
 	}
 	return l
 }
@@ -111,24 +103,6 @@ func PredictConfigurations(machines []*arch.Machine) []Configuration {
 				Configuration{Machine: m, Mode: jit.InterIntra, Interprocedural: true, Predict: p},
 			)
 		}
-	}
-	return cs
-}
-
-// ExecConfigurations returns the execution-backend verification matrix:
-// the four software configurations of Configurations per machine, all on
-// the default hardware model, run on the threaded-code compiled tier.
-// (The interpreted backend is what every other cell of the matrix already
-// runs; these cells pin the compiled tier to the same fingerprints.)
-func ExecConfigurations(machines []*arch.Machine) []Configuration {
-	var cs []Configuration
-	for _, m := range machines {
-		cs = append(cs,
-			Configuration{Machine: m, Mode: jit.Baseline, Exec: vm.ExecCompiled},
-			Configuration{Machine: m, Mode: jit.Inter, Exec: vm.ExecCompiled},
-			Configuration{Machine: m, Mode: jit.InterIntra, Exec: vm.ExecCompiled},
-			Configuration{Machine: m, Mode: jit.InterIntra, Interprocedural: true, Exec: vm.ExecCompiled},
-		)
 	}
 	return cs
 }
@@ -214,7 +188,6 @@ func Verify(build func() *ir.Program, opts Options) (*Report, error) {
 	r := &Report{Reference: ref}
 	configs := ConfigurationsHW(opts.Machines, opts.HWModels)
 	configs = append(configs, PredictConfigurations(opts.Machines)...)
-	configs = append(configs, ExecConfigurations(opts.Machines)...)
 	for _, c := range configs {
 		cell := runCell(build, c, opts.HeapBytes, opts.GC)
 		r.Cells = append(r.Cells, cell)
@@ -241,7 +214,7 @@ func Verify(build func() *ir.Program, opts Options) (*Report, error) {
 //
 // Installing the tap (via SetMem) unpins the engine's devirtualized fast
 // lane — the engine must dispatch through the tap so no load escapes the
-// digest. To keep the 68-cell matrix exercising the hit-lane probes
+// digest. To keep the 60-cell matrix exercising the hit-lane probes
 // anyway, the tap carries the pinning the engine gave up: after recording,
 // it routes the access through LoadHit/StoreHit with the full call as
 // fallback, exactly like a specialized engine site. fast is nil when the
@@ -299,7 +272,7 @@ func runCell(build func() *ir.Program, c Configuration, heapBytes uint32, gc hea
 		jo.Profile = recordProfile(build, c, heapBytes, gc)
 	}
 	v := vm.New(prog, vm.Config{
-		Machine: &m, Mode: c.Mode, HeapBytes: heapBytes, GC: gc, Exec: c.Exec, JIT: &jo,
+		Machine: &m, Mode: c.Mode, HeapBytes: heapBytes, GC: gc, JIT: &jo,
 	})
 	v.Mem.EnableSelfCheck()
 	// Inherit the engine's fast-lane pinning (nil under the escape hatch or

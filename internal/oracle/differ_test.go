@@ -21,9 +21,11 @@ import (
 // prefetch-emitting configurations under static and PGO prediction), both
 // machines, leak checks and memory-model invariants included. Any semantic
 // effect of prefetching — software or hardware, dynamically inspected or
-// statically mispredicted — anywhere in the stack fails here.
+// statically mispredicted — anywhere in the stack fails here. Every cell
+// runs its JIT-compiled methods on the threaded tier, so any divergence
+// of that tier from the reference interpreter fails here too.
 func TestVerifyAllWorkloads(t *testing.T) {
-	wantCells := 4*len(memsim.HWModels())*2 + 3*2*2 + 4*2 // hw matrix + predict matrix + exec matrix
+	wantCells := 4*len(memsim.HWModels())*2 + 3*2*2 // hw matrix + predict matrix
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -36,7 +38,7 @@ func TestVerifyAllWorkloads(t *testing.T) {
 				t.Fatalf("%s", rep.Summary())
 			}
 			if len(rep.Cells) != wantCells {
-				t.Fatalf("got %d cells, want %d (4 sw configs x %d hw models x 2 machines + 12 predict + 8 exec cells)",
+				t.Fatalf("got %d cells, want %d (4 sw configs x %d hw models x 2 machines + 12 predict cells)",
 					len(rep.Cells), wantCells, len(memsim.HWModels()))
 			}
 			if rep.Reference.Loads == 0 {

@@ -36,11 +36,6 @@ type Response struct {
 	// byte-for-byte (and allocation-for-allocation) what they always were;
 	// present as "static" or "pgo" when the job opted in.
 	Predict string `json:"predict,omitempty"`
-	// Exec is the execution backend the cell ran under. Omitted for the
-	// interpreted default, mirroring Predict, so pre-existing serving
-	// paths stay byte-for-byte identical; present as "compiled" when the
-	// job opted in.
-	Exec string `json:"exec,omitempty"`
 	// Key is the engine's canonical cell key (cache/pool/shard identity).
 	Key string `json:"key"`
 
@@ -103,16 +98,6 @@ func predictSpelling(s harness.Spec) string {
 	return s.Predict
 }
 
-// execSpelling resolves the execution backend stamped on a response:
-// empty for the interpreted default (the field is omitted entirely), the
-// canonical spelling otherwise.
-func execSpelling(s harness.Spec) string {
-	if s.Exec == "interp" {
-		return ""
-	}
-	return s.Exec
-}
-
 // hwSpelling resolves the model a cell simulates: the spec's explicit
 // selection, else the machine's own default.
 func hwSpelling(s harness.Spec) string {
@@ -145,16 +130,11 @@ func newVM(spec harness.Spec, rec telemetry.Recorder) (*vm.VM, error) {
 	if err != nil {
 		return nil, err
 	}
-	xb, err := vm.ParseExec(spec.Exec)
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
 	return vm.New(progfuzz.Program(seed), vm.Config{
 		Machine:   m,
 		Mode:      spec.Mode,
 		HeapBytes: spec.HeapBytes,
 		GC:        spec.GC,
-		Exec:      xb,
 		JIT:       jo,
 		Recorder:  rec,
 	}), nil
@@ -201,7 +181,6 @@ func (e *executor) run(spec harness.Spec, explain bool) *Response {
 		GC:       gcSpelling(spec),
 		HW:       hwSpelling(spec),
 		Predict:  predictSpelling(spec),
-		Exec:     execSpelling(spec),
 		Key:      spec.Key(),
 	}
 

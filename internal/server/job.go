@@ -25,7 +25,6 @@ import (
 	"strider/internal/harness"
 	"strider/internal/heap"
 	"strider/internal/memsim"
-	"strider/internal/vm"
 	"strider/internal/workloads"
 )
 
@@ -56,11 +55,6 @@ type Job struct {
 	// offline analyzer), or "pgo" (replay of a recorded profile; the
 	// service builds and caches one profiling run per cell).
 	Predict string `json:"predict,omitempty"`
-	// Exec selects the execution backend for JIT-compiled methods:
-	// "interp" (default — the step loop) or "compiled" (the threaded-code
-	// tier). Both backends produce byte-identical responses; the axis is
-	// part of the cell key because pooled VMs are backend-specific.
-	Exec string `json:"exec,omitempty"`
 	// Warmups is the number of discarded runs before the measured run
 	// (default 1, the harness default).
 	Warmups int `json:"warmups,omitempty"`
@@ -166,9 +160,6 @@ func (j Job) Validate() *Error {
 	if _, err := jit.ParsePredict(j.Predict); err != nil {
 		return fieldError("predict", j.Predict, jit.PredictSources())
 	}
-	if _, err := vm.ParseExec(j.Exec); err != nil {
-		return fieldError("exec", j.Exec, vm.ExecNames())
-	}
 	if j.Warmups < 0 {
 		return &Error{
 			Err:   fmt.Sprintf("negative warmups %d", j.Warmups),
@@ -189,7 +180,6 @@ func (j Job) Spec() harness.Spec {
 		Machine:   j.Machine,
 		HW:        j.HW,
 		Predict:   j.Predict,
-		Exec:      j.Exec,
 		Warmups:   j.Warmups,
 		HeapBytes: j.HeapBytes,
 	}

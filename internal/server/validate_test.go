@@ -32,6 +32,8 @@ func TestAPIValidation(t *testing.T) {
 			body: `{"workload":`, status: 400, errSubstr: "invalid JSON"},
 		{name: "unknown JSON field", method: "POST", path: "/run",
 			body: `{"workload":"jess","bogus":1}`, status: 400, errSubstr: "invalid JSON"},
+		{name: "removed exec field", method: "POST", path: "/run",
+			body: `{"workload":"jess","exec":"compiled"}`, status: 400, errSubstr: "invalid JSON"},
 		{name: "missing workload", method: "POST", path: "/run",
 			body: `{}`, status: 400, field: "workload", errSubstr: "missing workload"},
 		{name: "unknown workload", method: "POST", path: "/run",

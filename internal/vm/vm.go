@@ -35,10 +35,6 @@ type Config struct {
 	// GC selects the collector (default: sliding compaction, as in the
 	// paper's JVM).
 	GC heap.GCMode
-	// Exec selects the execution backend for JIT-compiled methods
-	// (default: the interpreter's step loop; ExecCompiled runs them as
-	// threaded code).
-	Exec Exec
 
 	// JIT optionally overrides the paper-default jit.Options; leave the
 	// zero value to use jit.DefaultOptions(Machine, Mode).
@@ -199,10 +195,8 @@ func (v *VM) Invoke(m *ir.Method, args []value.Value) *interp.Code {
 			Prefetches:    c.Prefetch.Total(),
 		})
 	}
-	code := &interp.Code{Instrs: c.Code, NumRegs: c.NumRegs, Compiled: true}
-	if v.Config.Exec == ExecCompiled {
-		code.Threaded = compile.Build(m, c.Code, v.Prog.Universe)
-	}
+	code := &interp.Code{Instrs: c.Code, NumRegs: c.NumRegs, Compiled: true,
+		Threaded: compile.Build(m, c.Code, v.Prog.Universe)}
 	v.codes[m] = code
 	return code
 }
