@@ -1,6 +1,6 @@
 // Command striderd runs the strider execution service: a long-running
-// HTTP/JSON server that accepts experiment-cell jobs, schedules them
-// across per-core worker shards with bounded queues, and serves results
+// HTTP/JSON server that accepts experiment-cell jobs, runs them on one
+// worker per core fed by a bounded shared run queue, and serves results
 // from a singleflight cache backed by a pool of recycled VMs.
 //
 // Usage:
@@ -12,10 +12,10 @@
 //
 //	POST /run      submit one job; ?nocache=1 bypasses the result cache,
 //	               ?explain=1 returns the per-loop decision log
-//	GET  /stats    queue depths, shard utilization, cache and pool counters
+//	GET  /stats    run-queue depth, worker utilization, cache and pool counters
 //	GET  /healthz  200 while serving, 503 + Retry-After while draining
 //
-// A full queue is explicit backpressure: 429 with a Retry-After hint.
+// A full run queue is explicit backpressure: 429 with a Retry-After hint.
 // SIGINT/SIGTERM starts a graceful drain — new jobs are refused with 503
 // while everything already accepted runs to completion, then the process
 // exits 0.
@@ -51,8 +51,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	fs := flag.NewFlagSet("striderd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8120", "listen address (host:port; port 0 picks a free port)")
-	shards := fs.Int("shards", 0, "worker shards (0 = one per core)")
-	queue := fs.Int("queue", 0, "per-shard queue depth (0 = default 64)")
+	shards := fs.Int("shards", 0, "workers draining the run queue (0 = one per core)")
+	queue := fs.Int("queue", 0, "run-queue admission depth per worker (0 = default 64)")
 	cache := fs.Int("cache", 0, "cached results per shard (0 = default 1024, negative disables)")
 	pool := fs.Int("pool", 0, "max cells with a parked VM (0 = default 256, negative disables)")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "bound on the shutdown drain")

@@ -36,7 +36,7 @@ type Response struct {
 	// byte-for-byte (and allocation-for-allocation) what they always were;
 	// present as "static" or "pgo" when the job opted in.
 	Predict string `json:"predict,omitempty"`
-	// Key is the engine's canonical cell key (cache/pool/shard identity).
+	// Key is the engine's canonical cell key (cache/pool/scheduling identity).
 	Key string `json:"key"`
 
 	// Checksum is the run's result checksum (%016x), present on success.
@@ -169,10 +169,11 @@ func fuzzJITOpts(seed uint64, m *arch.Machine, spec harness.Spec) (*jit.Options,
 	return &o, nil
 }
 
-// run executes one cell and renders its deterministic response. The
-// serving-path metadata (Pooled) is stamped here; Cached/WallNs belong to
-// the layer above.
-func (e *executor) run(spec harness.Spec, explain bool) *Response {
+// run executes one cell, whose canonical key the caller has already
+// computed, and renders its deterministic response. The serving-path
+// metadata (Pooled) is stamped here; Cached/WallNs belong to the layer
+// above.
+func (e *executor) run(spec harness.Spec, key string, explain bool) *Response {
 	resp := &Response{
 		Workload: spec.Workload,
 		Size:     spec.Size.String(),
@@ -181,7 +182,7 @@ func (e *executor) run(spec harness.Spec, explain bool) *Response {
 		GC:       gcSpelling(spec),
 		HW:       hwSpelling(spec),
 		Predict:  predictSpelling(spec),
-		Key:      spec.Key(),
+		Key:      key,
 	}
 
 	if explain {
@@ -227,20 +228,20 @@ func (e *executor) run(spec harness.Spec, explain bool) *Response {
 		e.pool.put(resp.Key, &pooledVM{v: v, errText: err.Error()})
 		return respondError(resp, err)
 	}
-	e.pool.put(resp.Key, &pooledVM{v: v, checksum: stats.Checksum})
+	e.pool.put(resp.Key, &pooledVM{v: v, stats: stats})
 	return respondStats(resp, stats)
 }
 
 // guard is the reset-correctness check: a recycled VM must reproduce the
-// cell's canonical checksum (or, for trap cells, the canonical error).
-// On success the VM goes back in the pool; on mismatch it is discarded
-// and the poisoning is counted.
+// cell's canonical RunStats exactly (or, for trap cells, the canonical
+// error). On success the VM goes back in the pool; on mismatch it is
+// discarded and the poisoning is counted.
 func (e *executor) guard(key string, pv *pooledVM, stats vm.RunStats, err error) bool {
 	ok := false
 	if err != nil {
 		ok = pv.errText != "" && err.Error() == pv.errText
 	} else {
-		ok = pv.errText == "" && stats.Checksum == pv.checksum
+		ok = pv.errText == "" && stats == pv.stats
 	}
 	if !ok {
 		e.pool.poisoned.Add(1)

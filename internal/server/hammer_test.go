@@ -118,10 +118,8 @@ func TestRaceHammer(t *testing.T) {
 	if st.Accepted != st.Completed {
 		t.Errorf("accepted %d != completed %d after drain", st.Accepted, st.Completed)
 	}
-	for i, sh := range st.Shards {
-		if sh.QueueLen != 0 {
-			t.Errorf("shard %d queue not drained: %+v", i, sh)
-		}
+	if st.Queue.Len != 0 {
+		t.Errorf("run queue not drained: %+v", st.Queue)
 	}
 	if badCode.Load() > 0 {
 		t.Errorf("%d responses outside the documented status set", badCode.Load())

@@ -2,11 +2,11 @@
 // front end over the harness engine. Jobs — experiment cells in the
 // harness.Spec vocabulary, or progfuzz seed programs — are validated up
 // front (the CLI's exit-2 contract, rendered as 4xx responses with
-// machine-readable bodies), scheduled across per-core worker shards with
-// bounded queues and explicit backpressure (429 + Retry-After), served from
-// a sharded singleflight result cache, and executed on pooled VMs whose
-// cheap reset (the lazy-backing heap) amortizes program build and JIT
-// compilation across requests.
+// machine-readable bodies), scheduled on one run queue drained by one
+// worker per core, with bounded admission and explicit backpressure (429 +
+// Retry-After), served from a sharded singleflight result cache, and
+// executed on pooled VMs whose cheap reset (the lazy-backing heap)
+// amortizes program build and JIT compilation across requests.
 //
 // Determinism is the service's contract: a cell's response is byte-identical
 // whether it was computed fresh, on a recycled VM, served from the cache,
@@ -209,5 +209,5 @@ func (j Job) Spec() harness.Spec {
 const fuzzHeapBytes = 16 << 20
 
 // Key returns the canonical cell identity of the job — the harness engine
-// key the cache, pool, and shard scheduler all hash.
+// key the cache and pool are indexed by and the scheduler serializes on.
 func (j Job) Key() string { return j.Spec().Key() }

@@ -203,7 +203,7 @@ func SerialBaseline(jobs []Job) (map[string]string, error) {
 		if _, done := want[key]; done {
 			continue
 		}
-		resp := e.run(spec, false)
+		resp := e.run(spec, key, false)
 		if resp.Err != "" {
 			return nil, fmt.Errorf("loadgen: serial baseline for %s: %s", key, resp.Err)
 		}

@@ -12,13 +12,13 @@ import (
 // is checked against.
 type pooledVM struct {
 	v *vm.VM
-	// checksum is the cell's canonical result checksum (successful runs);
-	// errText is the canonical runtime-error text (trapping runs). A
-	// recycled VM that reproduces neither is poisoned: its reset failed to
-	// restore the pre-run state, so it is discarded and the cell re-runs
-	// on a fresh VM.
-	checksum uint64
-	errText  string
+	// stats is the cell's canonical measured-run statistics (successful
+	// runs); errText is the canonical runtime-error text (trapping runs).
+	// A recycled VM that reproduces neither exactly is poisoned: its reset
+	// failed to restore the pre-run state, so it is discarded and the cell
+	// re-runs on a fresh VM.
+	stats   vm.RunStats
+	errText string
 }
 
 // vmPool parks at most one steady VM per cell key. A VM enters the pool
@@ -28,9 +28,10 @@ type pooledVM struct {
 // run reproduces the cell's canonical stats exactly while skipping the
 // program build and all JIT compilation.
 //
-// Cell keys are sharded onto workers by hash, so a key's executions are
-// already serialized; the mutex makes the pool safe regardless of the
-// scheduling topology above it.
+// The server's scheduler runs one key's executions one at a time (a key
+// being executed hands later tasks for it to the same worker), so a
+// parked VM is never wanted by two workers at once; the mutex makes the
+// pool safe regardless of the scheduling topology above it.
 type vmPool struct {
 	mu      sync.Mutex
 	byKey   map[string]*pooledVM

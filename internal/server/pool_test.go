@@ -3,6 +3,8 @@ package server
 import (
 	"reflect"
 	"testing"
+
+	"strider/internal/vm"
 )
 
 // freshVsPooled runs one cell twice on the same executor and returns both
@@ -11,11 +13,11 @@ import (
 func freshVsPooled(t *testing.T, e *executor, jb Job) (fresh, pooled *Response) {
 	t.Helper()
 	spec := jb.Spec().Canonical()
-	fresh = e.run(spec, false)
+	fresh = e.run(spec, spec.Key(), false)
 	if fresh.Pooled {
 		t.Fatalf("%v: first run claims pooled", jb)
 	}
-	pooled = e.run(spec, false)
+	pooled = e.run(spec, spec.Key(), false)
 	if !pooled.Pooled {
 		t.Fatalf("%v: second run did not reuse the parked VM", jb)
 	}
@@ -63,7 +65,8 @@ func TestPooledVMReproducesTrap(t *testing.T) {
 	}
 
 	// After the trap, an unrelated healthy cell is unaffected.
-	ok := e.run(Job{Workload: "fuzz:0x3"}.Spec().Canonical(), false)
+	okSpec := Job{Workload: "fuzz:0x3"}.Spec().Canonical()
+	ok := e.run(okSpec, okSpec.Key(), false)
 	if ok.Trap != "" || ok.Stats == nil {
 		t.Errorf("healthy cell after trap cell: %+v", ok)
 	}
@@ -72,43 +75,54 @@ func TestPooledVMReproducesTrap(t *testing.T) {
 // TestPoolPoisoningGuard pins the guard itself: a parked VM whose recorded
 // canonical outcome does not match what the recycled run produces is
 // discarded and counted, and the request silently falls back to a fresh
-// execution with the correct result.
+// execution with the correct result. The guard compares the whole
+// RunStats, so a reset bug that shifts cycles but keeps the checksum is
+// caught too.
 func TestPoolPoisoningGuard(t *testing.T) {
-	e := &executor{pool: newVMPool(16)}
-	jb := Job{Workload: "jess"}
-	spec := jb.Spec().Canonical()
-	fresh := e.run(spec, false)
-	if fresh.Stats == nil {
-		t.Fatalf("fresh run failed: %+v", fresh)
-	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*vm.RunStats)
+	}{
+		{"checksum", func(s *vm.RunStats) { s.Checksum ^= 0xdeadbeef }},
+		{"cycles", func(s *vm.RunStats) { s.Cycles++ }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := &executor{pool: newVMPool(16)}
+			spec := Job{Workload: "jess"}.Spec().Canonical()
+			key := spec.Key()
+			fresh := e.run(spec, key, false)
+			if fresh.Stats == nil {
+				t.Fatalf("fresh run failed: %+v", fresh)
+			}
 
-	// Corrupt the parked VM's canonical checksum so the guard must fire.
-	key := spec.Key()
-	pv := e.pool.get(key)
-	if pv == nil {
-		t.Fatal("no VM parked after fresh run")
-	}
-	pv.checksum ^= 0xdeadbeef
-	e.pool.put(key, pv)
+			// Corrupt the parked VM's canonical stats so the guard must fire.
+			pv := e.pool.get(key)
+			if pv == nil {
+				t.Fatal("no VM parked after fresh run")
+			}
+			tc.corrupt(&pv.stats)
+			e.pool.put(key, pv)
 
-	resp := e.run(spec, false)
-	if resp.Pooled {
-		t.Error("poisoned VM served a response")
-	}
-	if n := e.pool.poisoned.Load(); n != 1 {
-		t.Errorf("poisoned counter = %d, want 1", n)
-	}
-	if !reflect.DeepEqual(fresh.Deterministic(), resp.Deterministic()) {
-		t.Errorf("fallback response diverges from canonical:\n%+v\nvs\n%+v", fresh, resp)
-	}
-	// The discarded VM is gone; the fallback's fresh VM is parked instead
-	// and serves the next request.
-	again := e.run(spec, false)
-	if !again.Pooled {
-		t.Error("fresh fallback VM was not re-parked")
-	}
-	if !reflect.DeepEqual(fresh.Deterministic(), again.Deterministic()) {
-		t.Error("re-parked VM diverges from canonical")
+			resp := e.run(spec, key, false)
+			if resp.Pooled {
+				t.Error("poisoned VM served a response")
+			}
+			if n := e.pool.poisoned.Load(); n != 1 {
+				t.Errorf("poisoned counter = %d, want 1", n)
+			}
+			if !reflect.DeepEqual(fresh.Deterministic(), resp.Deterministic()) {
+				t.Errorf("fallback response diverges from canonical:\n%+v\nvs\n%+v", fresh, resp)
+			}
+			// The discarded VM is gone; the fallback's fresh VM is parked
+			// instead and serves the next request.
+			again := e.run(spec, key, false)
+			if !again.Pooled {
+				t.Error("fresh fallback VM was not re-parked")
+			}
+			if !reflect.DeepEqual(fresh.Deterministic(), again.Deterministic()) {
+				t.Error("re-parked VM diverges from canonical")
+			}
+		})
 	}
 }
 
@@ -117,8 +131,8 @@ func TestPoolPoisoningGuard(t *testing.T) {
 func TestPoolCapacityAndDisable(t *testing.T) {
 	off := &executor{pool: newVMPool(0)}
 	spec := Job{Workload: "jess"}.Spec().Canonical()
-	off.run(spec, false)
-	r := off.run(spec, false)
+	off.run(spec, spec.Key(), false)
+	r := off.run(spec, spec.Key(), false)
 	if r.Pooled {
 		t.Error("disabled pool served a recycled VM")
 	}
@@ -127,8 +141,10 @@ func TestPoolCapacityAndDisable(t *testing.T) {
 	}
 
 	one := &executor{pool: newVMPool(1)}
-	one.run(Job{Workload: "jess"}.Spec().Canonical(), false)
-	one.run(Job{Workload: "db"}.Spec().Canonical(), false)
+	for _, w := range []string{"jess", "db"} {
+		s := Job{Workload: w}.Spec().Canonical()
+		one.run(s, s.Key(), false)
+	}
 	if one.pool.size() != 1 {
 		t.Errorf("pool size %d, want 1 (capacity)", one.pool.size())
 	}

@@ -17,15 +17,17 @@ import (
 )
 
 // Config sizes the service. The zero value is a sensible single-box
-// deployment: one worker shard per core, bounded queues, caching and VM
+// deployment: one worker per core, a bounded run queue, caching and VM
 // pooling on.
 type Config struct {
-	// Shards is the number of worker shards (default GOMAXPROCS). Each
-	// shard owns one worker goroutine and one bounded queue; cells hash
-	// onto shards by key, so one cell's executions never contend.
+	// Shards is the number of workers (default GOMAXPROCS). Every worker
+	// drains the one shared run queue, so any idle worker takes any cell,
+	// while one cell's executions still run one at a time. It also sets
+	// how many lock stripes the result cache has.
 	Shards int
-	// QueueDepth is the per-shard queue capacity (default 64). A full
-	// queue is explicit backpressure: 429 + Retry-After.
+	// QueueDepth is the admission depth per worker (default 64): at most
+	// Shards × QueueDepth accepted jobs wait to start. Beyond that a submit
+	// gets explicit backpressure: 429 + Retry-After.
 	QueueDepth int
 	// CacheEntries caps the completed results cached per cache shard
 	// (default 1024; negative disables result caching).
@@ -67,7 +69,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// task is one accepted execution travelling through a shard queue.
+// task is one accepted execution travelling through the run queue.
 type task struct {
 	spec    harness.Spec
 	key     string
@@ -95,9 +97,8 @@ type cacheShard struct {
 	m  map[string]*cacheEntry
 }
 
-// shard is one worker: a bounded queue and its utilization counters.
-type shard struct {
-	queue     chan *task
+// worker is one worker goroutine's utilization counters.
+type worker struct {
 	processed atomic.Uint64
 	busyNs    atomic.Int64
 	busy      atomic.Bool
@@ -106,12 +107,25 @@ type shard struct {
 // Server is the strider execution service. Create with New, mount via
 // Handler (or pass directly to http.Server), stop with Drain/Close.
 type Server struct {
-	cfg    Config
-	exec   *executor
-	shards []*shard
-	cache  []*cacheShard
-	mux    *http.ServeMux
-	start  time.Time
+	cfg     Config
+	exec    *executor
+	workers []*worker
+	cache   []*cacheShard
+	mux     *http.ServeMux
+	start   time.Time
+
+	// runq is the shared run queue every worker drains. pending counts the
+	// accepted tasks that have not started executing — queued or waiting
+	// in running — and bounds admission at cap(runq), so a send on runq
+	// never blocks.
+	runq    chan *task
+	pending atomic.Int64
+	// running holds the keys being executed, each with the tasks for that
+	// key that arrived meanwhile. The worker executing a key runs its
+	// waitlist before releasing it, so one cell never runs on two workers
+	// at once: its pooled VM is never used concurrently.
+	runMu   sync.Mutex
+	running map[string][]*task
 
 	// drainMu orders request acceptance against Drain: acceptors hold the
 	// read side while checking the flag and registering with jobs.
@@ -133,21 +147,23 @@ type Server struct {
 	rejectBad  atomic.Uint64 // validation / protocol rejections
 }
 
-// New creates a started server: worker shards are running and the handler
-// is ready to serve.
+// New creates a started server: workers are running and the handler is
+// ready to serve.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:    cfg,
-		exec:   &executor{pool: newVMPool(poolCap(cfg.PoolKeys))},
-		shards: make([]*shard, cfg.Shards),
-		cache:  make([]*cacheShard, cfg.Shards),
-		start:  time.Now(),
+		cfg:     cfg,
+		exec:    &executor{pool: newVMPool(poolCap(cfg.PoolKeys))},
+		workers: make([]*worker, cfg.Shards),
+		cache:   make([]*cacheShard, cfg.Shards),
+		start:   time.Now(),
+		runq:    make(chan *task, cfg.Shards*cfg.QueueDepth),
+		running: make(map[string][]*task),
 	}
-	for i := range s.shards {
-		s.shards[i] = &shard{queue: make(chan *task, cfg.QueueDepth)}
+	for i := range s.workers {
+		s.workers[i] = &worker{}
 		s.cache[i] = &cacheShard{m: make(map[string]*cacheEntry)}
-		go s.worker(s.shards[i])
+		go s.work(s.workers[i])
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/run", s.handleRun)
@@ -190,51 +206,87 @@ func (s *Server) Draining() bool {
 // Close drains the server and stops its workers.
 func (s *Server) Close() {
 	s.Drain()
-	s.stopOnce.Do(func() {
-		for _, sh := range s.shards {
-			close(sh.queue)
-		}
-	})
+	s.stopOnce.Do(func() { close(s.runq) })
 }
 
-// shardFor hashes a cell key onto its shard index.
+// shardFor hashes a cell key onto its result-cache shard index.
 func (s *Server) shardFor(key string) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(len(s.shards)))
+	return int(h.Sum32() % uint32(len(s.cache)))
 }
 
-// worker drains one shard's queue.
-func (s *Server) worker(sh *shard) {
-	for t := range sh.queue {
-		sh.busy.Store(true)
-		start := time.Now()
-		resp := s.exec.run(t.spec, t.explain)
-		wall := time.Since(start)
-		resp.WallNs = wall.Nanoseconds()
-		t.resp = resp
-		if t.entry != nil {
-			t.entry.resp = resp
-			s.publish(t.key, t.entry)
+// work is one worker's loop: take the next task off the shared run queue
+// and, unless its key is already executing elsewhere, run it and then
+// every task handed off to its key meanwhile.
+func (s *Server) work(w *worker) {
+	for t := range s.runq {
+		if !s.claim(t) {
+			continue
 		}
-		close(t.done)
-		if resp.Trap != "" || resp.Err != "" {
-			s.traps.Add(1)
+		for ; t != nil; t = s.next(t.key) {
+			s.execute(w, t)
 		}
-		s.completed.Add(1)
-		s.inFlight.Add(-1)
-		if rec := s.cfg.Recorder; rec != nil {
-			ev := telemetry.CellEvent{Cell: t.spec.String(), Wall: wall}
-			if resp.Err != "" {
-				ev.Err = resp.Err
-			}
-			rec.Cell(ev)
-		}
-		sh.busyNs.Add(wall.Nanoseconds())
-		sh.busy.Store(false)
-		sh.processed.Add(1)
-		s.jobs.Done()
 	}
+}
+
+// claim marks t's key as executing and reports true, or appends t to the
+// key's waitlist when another worker is executing it.
+func (s *Server) claim(t *task) bool {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	if wl, busy := s.running[t.key]; busy {
+		s.running[t.key] = append(wl, t)
+		return false
+	}
+	s.running[t.key] = nil
+	return true
+}
+
+// next pops the oldest task waiting on key, or releases the key and
+// returns nil when none is waiting.
+func (s *Server) next(key string) *task {
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	wl := s.running[key]
+	if len(wl) == 0 {
+		delete(s.running, key)
+		return nil
+	}
+	s.running[key] = wl[1:]
+	return wl[0]
+}
+
+// execute runs one task on the calling worker and publishes its outcome.
+func (s *Server) execute(w *worker, t *task) {
+	s.pending.Add(-1)
+	w.busy.Store(true)
+	start := time.Now()
+	resp := s.exec.run(t.spec, t.key, t.explain)
+	wall := time.Since(start)
+	resp.WallNs = wall.Nanoseconds()
+	t.resp = resp
+	if t.entry != nil {
+		t.entry.resp = resp
+		s.publish(t.key, t.entry)
+	}
+	close(t.done)
+	if resp.Trap != "" || resp.Err != "" {
+		s.traps.Add(1)
+	}
+	s.completed.Add(1)
+	s.inFlight.Add(-1)
+	if rec := s.cfg.Recorder; rec != nil {
+		ev := telemetry.CellEvent{Cell: t.spec.String(), Wall: wall}
+		if resp.Err != "" {
+			ev.Err = resp.Err
+		}
+		rec.Cell(ev)
+	}
+	w.busyNs.Add(wall.Nanoseconds())
+	w.busy.Store(false)
+	w.processed.Add(1)
+	s.jobs.Done()
 }
 
 // publish installs a completed entry in the cache, evicting an arbitrary
@@ -285,8 +337,8 @@ func (s *Server) writeBackpressure(w http.ResponseWriter, status int, msg string
 }
 
 // handleRun is POST /run: decode, validate, serve from cache, join an
-// in-flight execution, or schedule on the cell's shard — rejecting with
-// 429 + Retry-After when the shard's queue is full.
+// in-flight execution, or schedule on the run queue — rejecting with
+// 429 + Retry-After when the admission bound is reached.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.rejectBad.Add(1)
@@ -337,7 +389,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 					// The execution this request would have joined was never
 					// enqueued (backpressure); fail the same way.
 					s.rejectFull.Add(1)
-					s.writeBackpressure(w, http.StatusTooManyRequests, "shard queue full")
+					s.writeBackpressure(w, http.StatusTooManyRequests, "run queue full")
 					return
 				}
 				s.cacheHits.Add(1)
@@ -372,8 +424,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.waitAndRespond(w, r, t.done, func() *Response { return t.resp })
 }
 
-// enqueue accepts a task onto its shard's queue, writing the 503/429
-// rejection itself when the server is draining or the queue is full.
+// enqueue accepts a task onto the run queue, writing the 503/429
+// rejection itself when the server is draining or the admission bound is
+// reached.
 func (s *Server) enqueue(w http.ResponseWriter, t *task) bool {
 	s.drainMu.RLock()
 	if s.draining {
@@ -385,18 +438,17 @@ func (s *Server) enqueue(w http.ResponseWriter, t *task) bool {
 	s.jobs.Add(1)
 	s.drainMu.RUnlock()
 
-	sh := s.shards[s.shardFor(t.key)]
-	select {
-	case sh.queue <- t:
-		s.accepted.Add(1)
-		s.inFlight.Add(1)
-		return true
-	default:
+	if s.pending.Add(1) > int64(cap(s.runq)) {
+		s.pending.Add(-1)
 		s.jobs.Done()
 		s.rejectFull.Add(1)
-		s.writeBackpressure(w, http.StatusTooManyRequests, "shard queue full")
+		s.writeBackpressure(w, http.StatusTooManyRequests, "run queue full")
 		return false
 	}
+	s.accepted.Add(1)
+	s.inFlight.Add(1)
+	s.runq <- t
+	return true
 }
 
 // waitAndRespond blocks until the execution completes (or the client goes
@@ -412,7 +464,7 @@ func (s *Server) waitAndRespond(w http.ResponseWriter, r *http.Request, done <-c
 	rp := resp()
 	if rp == nil {
 		s.rejectFull.Add(1)
-		s.writeBackpressure(w, http.StatusTooManyRequests, "shard queue full")
+		s.writeBackpressure(w, http.StatusTooManyRequests, "run queue full")
 		return
 	}
 	s.writeResponse(w, rp, false)
@@ -432,13 +484,18 @@ func (s *Server) writeResponse(w http.ResponseWriter, rp *Response, cached bool)
 	json.NewEncoder(w).Encode(&out)
 }
 
-// ShardStats is one worker shard's /stats row.
+// ShardStats is one worker's /stats row.
 type ShardStats struct {
-	QueueLen    int     `json:"queue_len"`
-	QueueCap    int     `json:"queue_cap"`
 	Processed   uint64  `json:"processed"`
 	Busy        bool    `json:"busy"`
 	Utilization float64 `json:"utilization"`
+}
+
+// QueueStats is the run queue's /stats section: Len counts the accepted
+// jobs that have not started executing, Cap is the admission bound.
+type QueueStats struct {
+	Len int `json:"len"`
+	Cap int `json:"cap"`
 }
 
 // CacheStats is the sharded result cache's /stats section.
@@ -469,6 +526,7 @@ type Stats struct {
 	Completed uint64       `json:"completed"`
 	Traps     uint64       `json:"traps"`
 	Rejected  RejectStats  `json:"rejected"`
+	Queue     QueueStats   `json:"queue"`
 	Shards    []ShardStats `json:"shards"`
 	Cache     CacheStats   `json:"cache"`
 	Pool      PoolStats    `json:"pool"`
@@ -498,20 +556,19 @@ func (s *Server) StatsSnapshot() Stats {
 			Draining:  s.rejectGone.Load(),
 			Invalid:   s.rejectBad.Load(),
 		},
-		Pool: s.exec.pool.stats(),
+		Queue: QueueStats{Len: int(s.pending.Load()), Cap: cap(s.runq)},
+		Pool:  s.exec.pool.stats(),
 	}
 	ec := harness.EngineCounters()
 	st.Profiles = ProfileStats{Hits: ec.ProfileHits, Misses: ec.ProfileMisses}
-	for _, sh := range s.shards {
+	for _, w := range s.workers {
 		util := 0.0
 		if uptime > 0 {
-			util = float64(sh.busyNs.Load()) / float64(uptime.Nanoseconds())
+			util = float64(w.busyNs.Load()) / float64(uptime.Nanoseconds())
 		}
 		st.Shards = append(st.Shards, ShardStats{
-			QueueLen:    len(sh.queue),
-			QueueCap:    cap(sh.queue),
-			Processed:   sh.processed.Load(),
-			Busy:        sh.busy.Load(),
+			Processed:   w.processed.Load(),
+			Busy:        w.busy.Load(),
 			Utilization: util,
 		})
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,22 +15,32 @@ import (
 // postJob submits a job body to the test server and decodes the response.
 func postJob(t *testing.T, ts *httptest.Server, path string, jb Job) (int, Response) {
 	t.Helper()
-	body, err := json.Marshal(jb)
+	code, out, err := tryPost(ts, path, jb)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return code, out
+}
+
+// tryPost is postJob for goroutines other than the test's own: it returns
+// the error instead of failing the test.
+func tryPost(ts *httptest.Server, path string, jb Job) (int, Response, error) {
+	var out Response
+	body, err := json.Marshal(jb)
+	if err != nil {
+		return 0, out, err
 	}
 	resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatal(err)
+		return 0, out, err
 	}
 	defer resp.Body.Close()
-	var out Response
 	if resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatalf("decode response: %v", err)
+			return 0, out, fmt.Errorf("decode response: %w", err)
 		}
 	}
-	return resp.StatusCode, out
+	return resp.StatusCode, out, nil
 }
 
 // sameDeterministic compares the deterministic payload of two responses,
@@ -247,7 +258,8 @@ func TestJobSpecRoundTrip(t *testing.T) {
 		{Workload: "euler", Size: "small", Machine: "AthlonMP", Mode: "inter", GC: "freelist", HW: "ipstride"},
 		{Workload: "fuzz:17", Mode: "baseline"},
 	} {
-		resp := e.run(jb.Spec().Canonical(), false)
+		spec := jb.Spec().Canonical()
+		resp := e.run(spec, spec.Key(), false)
 		back := Job{
 			Workload: resp.Workload, Size: resp.Size, Machine: resp.Machine,
 			Mode: resp.Mode, GC: resp.GC, HW: resp.HW,
