@@ -26,6 +26,10 @@ import (
 	"strider/internal/workloads"
 )
 
+// bench runs every experiment cell of the benchmarks, so cells shared
+// between benchmarks execute once per process.
+var bench = new(harness.Engine)
+
 func benchSize() workloads.Size {
 	if testing.Short() {
 		return workloads.SizeSmall
@@ -60,7 +64,7 @@ func BenchmarkTable2MachineParams(b *testing.B) {
 }
 
 func BenchmarkTable3CompiledFraction(b *testing.B) {
-	rows, err := harness.Table3(benchSize())
+	rows, err := bench.Table3(benchSize())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -84,11 +88,11 @@ func benchSpeedupFigure(b *testing.B, fig func(workloads.Size) ([]harness.Speedu
 }
 
 func BenchmarkFig6SpeedupsPentium4(b *testing.B) {
-	benchSpeedupFigure(b, harness.Figure6, "Figure 6: speedup ratios on the Pentium 4")
+	benchSpeedupFigure(b, bench.Figure6, "Figure 6: speedup ratios on the Pentium 4")
 }
 
 func BenchmarkFig7SpeedupsAthlonMP(b *testing.B) {
-	benchSpeedupFigure(b, harness.Figure7, "Figure 7: speedup ratios on the Athlon MP")
+	benchSpeedupFigure(b, bench.Figure7, "Figure 7: speedup ratios on the Athlon MP")
 }
 
 func benchMPIFigure(b *testing.B, fig func(workloads.Size) ([]harness.MPIRow, error), title string) {
@@ -106,19 +110,19 @@ func benchMPIFigure(b *testing.B, fig func(workloads.Size) ([]harness.MPIRow, er
 }
 
 func BenchmarkFig8L1MPI(b *testing.B) {
-	benchMPIFigure(b, harness.Figure8, "Figure 8: L1 cache load MPIs")
+	benchMPIFigure(b, bench.Figure8, "Figure 8: L1 cache load MPIs")
 }
 
 func BenchmarkFig9L2MPI(b *testing.B) {
-	benchMPIFigure(b, harness.Figure9, "Figure 9: L2 cache load MPIs")
+	benchMPIFigure(b, bench.Figure9, "Figure 9: L2 cache load MPIs")
 }
 
 func BenchmarkFig10DTLBMPI(b *testing.B) {
-	benchMPIFigure(b, harness.Figure10, "Figure 10: DTLB load MPIs")
+	benchMPIFigure(b, bench.Figure10, "Figure 10: DTLB load MPIs")
 }
 
 func BenchmarkFig11CompileOverhead(b *testing.B) {
-	rows, err := harness.Figure11(benchSize())
+	rows, err := bench.Figure11(benchSize())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -151,7 +155,7 @@ var benchSizeGlobal workloads.Size
 // percentage speedup of opt over base.
 func speedupOf(b *testing.B, base, opt harness.Spec) float64 {
 	b.Helper()
-	results, err := harness.RunAll([]harness.Spec{base, opt})
+	results, err := bench.RunAll([]harness.Spec{base, opt})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -163,7 +167,7 @@ func speedupOf(b *testing.B, base, opt harness.Spec) float64 {
 // the whole sweep, then returns the per-pair results in order.
 func sweep(b *testing.B, pairs []harness.Spec) []harness.Result {
 	b.Helper()
-	results, err := harness.RunAll(pairs)
+	results, err := bench.RunAll(pairs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -95,16 +95,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "experiments: -chart and -json are mutually exclusive\n")
 		return 2
 	}
-	if err := harness.SetHWModel(*hwFlag); err != nil {
-		fmt.Fprintf(stderr, "experiments: %v\n", err)
-		return 2
+	for _, err := range []error{harness.CheckHW(*hwFlag), harness.CheckPredict(*predictFlag)} {
+		if err != nil {
+			fmt.Fprintf(stderr, "experiments: %v\n", err)
+			return 2
+		}
 	}
-	defer harness.SetHWModel("")
-	if err := harness.SetPredict(*predictFlag); err != nil {
-		fmt.Fprintf(stderr, "experiments: %v\n", err)
-		return 2
-	}
-	defer harness.SetPredict("")
+	eng := &harness.Engine{HW: *hwFlag, Predict: *predictFlag, Parallel: *parallel}
 
 	known := map[string]bool{}
 	for _, a := range artifacts {
@@ -154,14 +151,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if traceFile != nil || metricsFile != nil {
 		trace = telemetry.NewTrace()
-		harness.SetRecorder(trace)
-		defer harness.SetRecorder(nil)
+		eng.Recorder = trace
 	}
-
-	harness.SetParallelism(*parallel)
 	if *progress {
-		harness.SetProgress(stderr)
-		defer harness.SetProgress(nil)
+		eng.Progress = stderr
 	}
 	start := time.Now()
 
@@ -199,7 +192,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if sel("table3") && runErr == nil {
-		rows, err := harness.Table3(size)
+		rows, err := eng.Table3(size)
 		if err != nil {
 			fail(err)
 		} else if *jsonOut {
@@ -271,13 +264,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	speedupFig("fig6", "Figure 6: speedup ratios on the Pentium 4", harness.Figure6)
-	speedupFig("fig7", "Figure 7: speedup ratios on the Athlon MP", harness.Figure7)
-	mpiFig("fig8", "Figure 8: L1 cache load MPIs", harness.Figure8)
-	mpiFig("fig9", "Figure 9: L2 cache load MPIs", harness.Figure9)
-	mpiFig("fig10", "Figure 10: DTLB load MPIs", harness.Figure10)
+	speedupFig("fig6", "Figure 6: speedup ratios on the Pentium 4", eng.Figure6)
+	speedupFig("fig7", "Figure 7: speedup ratios on the Athlon MP", eng.Figure7)
+	mpiFig("fig8", "Figure 8: L1 cache load MPIs", eng.Figure8)
+	mpiFig("fig9", "Figure 9: L2 cache load MPIs", eng.Figure9)
+	mpiFig("fig10", "Figure 10: DTLB load MPIs", eng.Figure10)
 	if sel("fig11") && runErr == nil {
-		rows, err := harness.Figure11(size)
+		rows, err := eng.Figure11(size)
 		if err != nil {
 			fail(err)
 		} else if *jsonOut {
@@ -295,7 +288,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if sel("hwcross") && runErr == nil {
-		rows, err := harness.HWCross(size)
+		rows, err := eng.HWCross(size)
 		if err != nil {
 			fail(err)
 		} else if *jsonOut {
@@ -320,7 +313,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if sel("predict") && runErr == nil {
-		rows, err := harness.PredictCross(size)
+		rows, err := eng.PredictCross(size)
 		if err != nil {
 			fail(err)
 		} else if *jsonOut {
@@ -365,7 +358,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *progress {
-		c := harness.EngineCounters()
+		c := eng.Counters()
 		sels := make([]string, 0, len(want))
 		for s := range want {
 			sels = append(sels, s)
@@ -377,7 +370,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "experiments: %s in %s (%d VM executions, %d cache hits, %d deduped, %d workers)\n",
 			scope, time.Since(start).Round(time.Millisecond),
-			c.Executions, c.CacheHits, c.DedupHits, harness.Parallelism())
+			c.Executions, c.CacheHits, c.DedupHits, eng.Parallelism())
 	}
 	return 0
 }

@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	addr := fs.String("addr", "127.0.0.1:8120", "listen address (host:port; port 0 picks a free port)")
 	shards := fs.Int("shards", 0, "workers draining the run queue (0 = one per core)")
 	queue := fs.Int("queue", 0, "run-queue admission depth per worker (0 = default 64)")
-	cache := fs.Int("cache", 0, "cached results per shard (0 = default 1024, negative disables)")
+	cache := fs.Int("cache", 0, "cached results in total (0 = default 1024, negative disables)")
 	pool := fs.Int("pool", 0, "max cells with a parked VM (0 = default 256, negative disables)")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "bound on the shutdown drain")
 	if err := fs.Parse(args); err != nil {

@@ -156,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *explain {
-		log, err := harness.Explain(harness.Spec{
+		log, err := new(harness.Engine).Explain(harness.Spec{
 			Workload: *workload, Machine: *machine, Mode: mode, Size: size, GC: gc, HW: *hwFlag,
 			Predict: *predictFlag,
 		})
@@ -168,7 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	s, err := harness.Run(harness.Spec{
+	s, err := new(harness.Engine).Run(harness.Spec{
 		Workload: *workload, Machine: *machine, Mode: mode, Size: size, GC: gc, HW: *hwFlag,
 		Predict: *predictFlag,
 	})

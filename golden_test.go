@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"strider/internal/harness"
 	"strider/internal/telemetry"
 )
 
@@ -73,7 +72,7 @@ func TestGoldenDecisionTraces(t *testing.T) {
 				}
 				s := spec.Canonical()
 				tr := telemetry.NewTrace()
-				v, err := harness.NewVM(s, tr)
+				v, err := engine().NewVM(s, tr)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -179,9 +179,9 @@ func Suite() []Entry {
 		hwEntry("memsim/multistride-train", "multistride"),
 
 		// The experiment engine: one three-mode grid (BASELINE, INTER,
-		// INTER+INTRA) scheduled through the harness worker pool. The
-		// process cache is cleared each iteration so every cell really
-		// executes; Work folds all three cells' cycles.
+		// INTER+INTRA) scheduled through the harness worker pool. Each
+		// iteration runs on a fresh Engine, whose cache is empty, so every
+		// cell really executes; Work folds all three cells' cycles.
 		{Name: "grid/compress-small-3modes", Make: func() (func() (Work, error), error) {
 			specs := []harness.Spec{
 				{Workload: "compress", Size: workloads.SizeSmall, Mode: jit.Baseline},
@@ -189,8 +189,7 @@ func Suite() []Entry {
 				{Workload: "compress", Size: workloads.SizeSmall, Mode: jit.InterIntra},
 			}
 			return func() (Work, error) {
-				harness.ClearCache()
-				results, err := harness.RunAll(specs)
+				results, err := new(harness.Engine).RunAll(specs)
 				if err != nil {
 					return Work{}, err
 				}

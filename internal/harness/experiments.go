@@ -10,24 +10,6 @@ import (
 	"strider/internal/workloads"
 )
 
-// paperFig6 and paperFig7 hold the paper's reported speedups in percent
-// (INTER, INTER+INTRA). Values stated in the text (Sec. 4) are exact:
-// db 18.9/25.1, jess 2.0/2.9, euler 15.4/14.0; the rest are read off
-// Figures 6 and 7 and are approximate.
-var paperFig6 = map[string][2]float64{
-	"mtrt": {0.5, 1.5}, "jess": {0.2, 2.0}, "compress": {0, 0},
-	"db": {0, 18.9}, "mpegaudio": {-1, -1}, "jack": {0, 0},
-	"javac": {0, 0}, "euler": {15, 15.4}, "moldyn": {0, 0},
-	"montecarlo": {0, 0}, "raytracer": {0, 5}, "search": {0, 0},
-}
-
-var paperFig7 = map[string][2]float64{
-	"mtrt": {0.5, 1.5}, "jess": {0.3, 2.9}, "compress": {0, 0},
-	"db": {0, 25.1}, "mpegaudio": {0, 0}, "jack": {0, 0},
-	"javac": {0, 0}, "euler": {13, 14.0}, "moldyn": {2, 3},
-	"montecarlo": {0, 0}, "raytracer": {0, -2}, "search": {0, 0},
-}
-
 // SpeedupRow is one bar group of Figure 6 or 7.
 type SpeedupRow struct {
 	Workload   string
@@ -37,13 +19,15 @@ type SpeedupRow struct {
 	PaperBoth  float64
 }
 
-func speedupFigure(machine string, size workloads.Size, paper map[string][2]float64) ([]SpeedupRow, error) {
+// speedupFigure measures one machine's speedup figure. paper holds the
+// paper's reported speedups in percent (INTER, INTER+INTRA) per workload.
+func (e *Engine) speedupFigure(machine string, size workloads.Size, paper map[string][2]float64) ([]SpeedupRow, error) {
 	all := workloads.All()
 	var specs []Spec
 	for _, w := range all {
 		specs = append(specs, modeSpecs(w, machine, size)...)
 	}
-	stats, err := runBatch(specs)
+	stats, err := e.runBatch(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -56,14 +40,27 @@ func speedupFigure(machine string, size workloads.Size, paper map[string][2]floa
 	return rows, nil
 }
 
-// Figure6 regenerates the Pentium 4 speedup figure.
-func Figure6(size workloads.Size) ([]SpeedupRow, error) {
-	return speedupFigure("Pentium4", size, paperFig6)
+// Figure6 regenerates the Pentium 4 speedup figure. The paper's values
+// stated in the text (Sec. 4) are exact: db 18.9/25.1, jess 2.0/2.9,
+// euler 15.4/14.0; the rest are read off Figures 6 and 7 and are
+// approximate.
+func (e *Engine) Figure6(size workloads.Size) ([]SpeedupRow, error) {
+	return e.speedupFigure("Pentium4", size, map[string][2]float64{
+		"mtrt": {0.5, 1.5}, "jess": {0.2, 2.0}, "compress": {0, 0},
+		"db": {0, 18.9}, "mpegaudio": {-1, -1}, "jack": {0, 0},
+		"javac": {0, 0}, "euler": {15, 15.4}, "moldyn": {0, 0},
+		"montecarlo": {0, 0}, "raytracer": {0, 5}, "search": {0, 0},
+	})
 }
 
 // Figure7 regenerates the Athlon MP speedup figure.
-func Figure7(size workloads.Size) ([]SpeedupRow, error) {
-	return speedupFigure("AthlonMP", size, paperFig7)
+func (e *Engine) Figure7(size workloads.Size) ([]SpeedupRow, error) {
+	return e.speedupFigure("AthlonMP", size, map[string][2]float64{
+		"mtrt": {0.5, 1.5}, "jess": {0.3, 2.9}, "compress": {0, 0},
+		"db": {0, 25.1}, "mpegaudio": {0, 0}, "jack": {0, 0},
+		"javac": {0, 0}, "euler": {13, 14.0}, "moldyn": {2, 3},
+		"montecarlo": {0, 0}, "raytracer": {0, -2}, "search": {0, 0},
+	})
 }
 
 // FormatSpeedups renders a speedup figure as a text table.
@@ -89,7 +86,7 @@ type MPIRow struct {
 
 type mpiMetric func(vm.RunStats) float64
 
-func mpiFigure(size workloads.Size, metric mpiMetric) ([]MPIRow, error) {
+func (e *Engine) mpiFigure(size workloads.Size, metric mpiMetric) ([]MPIRow, error) {
 	all := workloads.All()
 	var specs []Spec
 	for _, w := range all {
@@ -97,7 +94,7 @@ func mpiFigure(size workloads.Size, metric mpiMetric) ([]MPIRow, error) {
 			specs = append(specs, Spec{Workload: w.Name, Size: size, Machine: "Pentium4", Mode: mode, HeapBytes: w.HeapBytes})
 		}
 	}
-	stats, err := runBatch(specs)
+	stats, err := e.runBatch(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -109,18 +106,18 @@ func mpiFigure(size workloads.Size, metric mpiMetric) ([]MPIRow, error) {
 }
 
 // Figure8 regenerates the L1 cache load MPI comparison.
-func Figure8(size workloads.Size) ([]MPIRow, error) {
-	return mpiFigure(size, vm.RunStats.L1LoadMPI)
+func (e *Engine) Figure8(size workloads.Size) ([]MPIRow, error) {
+	return e.mpiFigure(size, vm.RunStats.L1LoadMPI)
 }
 
 // Figure9 regenerates the L2 cache load MPI comparison.
-func Figure9(size workloads.Size) ([]MPIRow, error) {
-	return mpiFigure(size, vm.RunStats.L2LoadMPI)
+func (e *Engine) Figure9(size workloads.Size) ([]MPIRow, error) {
+	return e.mpiFigure(size, vm.RunStats.L2LoadMPI)
 }
 
 // Figure10 regenerates the DTLB load MPI comparison.
-func Figure10(size workloads.Size) ([]MPIRow, error) {
-	return mpiFigure(size, vm.RunStats.DTLBLoadMPI)
+func (e *Engine) Figure10(size workloads.Size) ([]MPIRow, error) {
+	return e.mpiFigure(size, vm.RunStats.DTLBLoadMPI)
 }
 
 // FormatMPI renders an MPI figure as a text table.
@@ -152,13 +149,13 @@ type CompileRow struct {
 
 // Figure11 regenerates the compilation-time overhead figure
 // (INTER+INTRA on the Pentium 4).
-func Figure11(size workloads.Size) ([]CompileRow, error) {
+func (e *Engine) Figure11(size workloads.Size) ([]CompileRow, error) {
 	all := workloads.All()
 	specs := make([]Spec, len(all))
 	for i, w := range all {
 		specs[i] = Spec{Workload: w.Name, Size: size, Machine: "Pentium4", Mode: jit.InterIntra, HeapBytes: w.HeapBytes}
 	}
-	stats, err := runBatch(specs)
+	stats, err := e.runBatch(specs)
 	if err != nil {
 		return nil, err
 	}
@@ -244,13 +241,13 @@ type Table3Row struct {
 
 // Table3 regenerates the benchmark descriptions and compiled-code
 // fractions (BASELINE, Pentium 4).
-func Table3(size workloads.Size) ([]Table3Row, error) {
+func (e *Engine) Table3(size workloads.Size) ([]Table3Row, error) {
 	all := workloads.All()
 	specs := make([]Spec, len(all))
 	for i, w := range all {
 		specs[i] = Spec{Workload: w.Name, Size: size, Machine: "Pentium4", Mode: jit.Baseline, HeapBytes: w.HeapBytes}
 	}
-	stats, err := runBatch(specs)
+	stats, err := e.runBatch(specs)
 	if err != nil {
 		return nil, err
 	}

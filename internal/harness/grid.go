@@ -27,72 +27,37 @@ type Result struct {
 // Grid is a batch of experiment cells scheduled across a bounded worker
 // pool. Cells are independent deterministic simulations, so any subset may
 // run concurrently; duplicate specs (within the grid or across concurrent
-// grids) collapse onto one execution via the engine's singleflight layer.
+// grids on one Engine) collapse onto one execution via the engine's
+// singleflight result cache.
 type Grid struct {
 	Specs []Spec
-	// Parallel is the worker count; 0 uses the package default
-	// (SetParallelism, itself defaulting to GOMAXPROCS).
+	// Engine runs the cells: its defaults, caches, recorder and progress
+	// writer apply. nil runs them on a fresh Engine with the built-in
+	// defaults.
+	Engine *Engine
+	// Parallel is the worker count; 0 uses the engine's (Engine.Parallel,
+	// itself defaulting to GOMAXPROCS).
 	Parallel int
 	// Progress, when non-nil, is called after each cell completes with the
 	// number of completed cells so far. Calls are serialized.
 	Progress func(done, total int, r Result)
 }
 
-var (
-	parallelMu      sync.Mutex
-	defaultParallel int       // 0 = GOMAXPROCS
-	progressW       io.Writer // nil = no progress lines
-)
-
-// SetParallelism sets the default worker-pool size for grids that do not
-// specify one. n <= 0 restores the default (GOMAXPROCS).
-func SetParallelism(n int) {
-	parallelMu.Lock()
-	defer parallelMu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	defaultParallel = n
-}
-
-// Parallelism returns the current default worker-pool size.
-func Parallelism() int {
-	parallelMu.Lock()
-	defer parallelMu.Unlock()
-	if defaultParallel > 0 {
-		return defaultParallel
+// Parallelism returns the worker count of grids that do not set their
+// own: Parallel, or GOMAXPROCS when Parallel is not positive.
+func (e *Engine) Parallelism() int {
+	if e.Parallel > 0 {
+		return e.Parallel
 	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// SetProgress directs per-cell progress lines (cell name, wall-clock, and
-// running counts) to w; nil disables them. Progress goes to its own writer
-// precisely so that table/figure output stays byte-identical regardless of
-// parallelism.
-func SetProgress(w io.Writer) {
-	parallelMu.Lock()
-	defer parallelMu.Unlock()
-	progressW = w
-}
-
-func progressWriter() io.Writer {
-	parallelMu.Lock()
-	defer parallelMu.Unlock()
-	return progressW
-}
-
-// printMu serializes all progress-line writes process-wide. The per-Run
-// bookkeeping mutex is not enough: concurrent Grids (the differ, nested
-// figure batches, tests with -parallel) share one progress writer, and
-// unserialized Write calls from two pools race and interleave lines.
-var printMu sync.Mutex
-
-// printProgress writes one complete progress line under the process-wide
+// printProgress writes one complete progress line under the engine's
 // printer lock.
-func printProgress(w io.Writer, line string) {
-	printMu.Lock()
-	defer printMu.Unlock()
-	io.WriteString(w, line)
+func (e *Engine) printProgress(line string) {
+	e.printMu.Lock()
+	defer e.printMu.Unlock()
+	io.WriteString(e.Progress, line)
 }
 
 // Run executes every cell and returns results in Specs order.
@@ -101,9 +66,13 @@ func (g Grid) Run() []Result {
 	if len(g.Specs) == 0 {
 		return results
 	}
+	e := g.Engine
+	if e == nil {
+		e = new(Engine)
+	}
 	workers := g.Parallel
 	if workers <= 0 {
-		workers = Parallelism()
+		workers = e.Parallelism()
 	}
 	if workers > len(g.Specs) {
 		workers = len(g.Specs)
@@ -113,8 +82,7 @@ func (g Grid) Run() []Result {
 		progressMu sync.Mutex
 		done       int
 	)
-	w := progressWriter()
-	rec := Recorder()
+	w, rec := e.Progress, e.Recorder
 	report := func(r Result) {
 		if rec != nil {
 			ev := telemetry.CellEvent{
@@ -144,7 +112,7 @@ func (g Grid) Run() []Result {
 			line := fmt.Sprintf("[%*d/%d] %-40s %10s%s\n",
 				len(fmt.Sprint(len(g.Specs))), done, len(g.Specs),
 				r.Spec.withDefaults().String(), r.Wall.Round(time.Millisecond), note)
-			printProgress(w, line)
+			e.printProgress(line)
 		}
 		if g.Progress != nil {
 			g.Progress(done, len(g.Specs), r)
@@ -159,7 +127,7 @@ func (g Grid) Run() []Result {
 			defer wg.Done()
 			for i := range idx {
 				start := time.Now()
-				stats, fresh, err := run(g.Specs[i])
+				stats, fresh, err := e.run(g.Specs[i])
 				results[i] = Result{
 					Spec:   g.Specs[i],
 					Stats:  stats,
@@ -179,10 +147,10 @@ func (g Grid) Run() []Result {
 	return results
 }
 
-// RunAll executes specs with the default worker pool and returns results
+// RunAll executes specs with the engine's worker pool and returns results
 // in order; the error is the first cell error in spec order, if any.
-func RunAll(specs []Spec) ([]Result, error) {
-	results := Grid{Specs: specs}.Run()
+func (e *Engine) RunAll(specs []Spec) ([]Result, error) {
+	results := Grid{Specs: specs, Engine: e}.Run()
 	for _, r := range results {
 		if r.Err != nil {
 			return results, r.Err
@@ -193,8 +161,8 @@ func RunAll(specs []Spec) ([]Result, error) {
 
 // runBatch executes specs and returns just their stats in order, failing
 // on the first cell error.
-func runBatch(specs []Spec) ([]vm.RunStats, error) {
-	results, err := RunAll(specs)
+func (e *Engine) runBatch(specs []Spec) ([]vm.RunStats, error) {
+	results, err := e.RunAll(specs)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ import (
 // asserts the engine performed exactly one underlying VM execution, with
 // every caller observing the identical result. Run under -race in CI.
 func TestConcurrentRunSingleflight(t *testing.T) {
-	ClearCache()
+	e := new(Engine)
 	spec := Spec{Workload: "search", Size: workloads.SizeSmall, Machine: "Pentium4", Mode: jit.Baseline}
 
 	const n = 16
@@ -28,7 +28,7 @@ func TestConcurrentRunSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s, err := Run(spec)
+			s, err := e.Run(spec)
 			results[i].cycles = s.Cycles
 			results[i].checksum = uint64(s.Checksum)
 			results[i].err = err
@@ -45,7 +45,7 @@ func TestConcurrentRunSingleflight(t *testing.T) {
 				i, r.cycles, results[0].cycles)
 		}
 	}
-	c := EngineCounters()
+	c := e.Counters()
 	if c.Executions != 1 {
 		t.Errorf("executions = %d, want exactly 1 (singleflight)", c.Executions)
 	}
@@ -57,14 +57,14 @@ func TestConcurrentRunSingleflight(t *testing.T) {
 // TestGridRunOrderAndDedup checks that Grid returns results in spec order
 // and that duplicate cells within one grid collapse onto one execution.
 func TestGridRunOrderAndDedup(t *testing.T) {
-	ClearCache()
+	e := new(Engine)
 	a := Spec{Workload: "search", Size: workloads.SizeSmall, Machine: "Pentium4", Mode: jit.Baseline}
 	b := Spec{Workload: "search", Size: workloads.SizeSmall, Machine: "AthlonMP", Mode: jit.Baseline}
 	specs := []Spec{a, b, a, b, a}
 
 	var mu sync.Mutex
 	calls := 0
-	results := Grid{Specs: specs, Parallel: 4, Progress: func(done, total int, r Result) {
+	results := Grid{Specs: specs, Engine: e, Parallel: 4, Progress: func(done, total int, r Result) {
 		mu.Lock()
 		calls++
 		mu.Unlock()
@@ -90,7 +90,7 @@ func TestGridRunOrderAndDedup(t *testing.T) {
 	if calls != len(specs) {
 		t.Errorf("progress callbacks = %d, want %d", calls, len(specs))
 	}
-	if c := EngineCounters(); c.Executions != 2 {
+	if c := e.Counters(); c.Executions != 2 {
 		t.Errorf("executions = %d, want 2 (one per distinct cell)", c.Executions)
 	}
 }
@@ -126,10 +126,8 @@ func (w *exclusiveLineWriter) Write(p []byte) (int, error) {
 // pre-fix per-Run progress mutex also made concurrent grids race on the
 // writer itself.
 func TestProgressNoInterleaving(t *testing.T) {
-	ClearCache()
 	w := &exclusiveLineWriter{t: t}
-	SetProgress(w)
-	defer SetProgress(nil)
+	e := &Engine{Progress: w}
 
 	mkSpecs := func(machine string) []Spec {
 		var specs []Spec
@@ -149,7 +147,7 @@ func TestProgressNoInterleaving(t *testing.T) {
 		wg.Add(1)
 		go func(machine string) {
 			defer wg.Done()
-			for _, r := range (Grid{Specs: mkSpecs(machine), Parallel: 3}.Run()) {
+			for _, r := range (Grid{Specs: mkSpecs(machine), Engine: e, Parallel: 3}.Run()) {
 				if r.Err != nil {
 					t.Errorf("cell %s: %v", r.Spec.String(), r.Err)
 				}
@@ -170,12 +168,11 @@ func TestProgressNoInterleaving(t *testing.T) {
 }
 
 func TestGridErrorReporting(t *testing.T) {
-	ClearCache()
 	specs := []Spec{
 		{Workload: "search", Size: workloads.SizeSmall, Machine: "Pentium4", Mode: jit.Baseline},
 		{Workload: "no-such-workload"},
 	}
-	results, err := RunAll(specs)
+	results, err := new(Engine).RunAll(specs)
 	if err == nil {
 		t.Fatal("RunAll must surface the cell error")
 	}
@@ -185,7 +182,7 @@ func TestGridErrorReporting(t *testing.T) {
 }
 
 func TestRunAllEmpty(t *testing.T) {
-	results, err := RunAll(nil)
+	results, err := new(Engine).RunAll(nil)
 	if err != nil || len(results) != 0 {
 		t.Errorf("empty batch: %v, %d results", err, len(results))
 	}
@@ -199,27 +196,20 @@ func TestSerialParallelDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs many workloads twice")
 	}
-	render := func() string {
-		rows, err := Figure6(workloads.SizeSmall)
+	render := func(e *Engine) string {
+		rows, err := e.Figure6(workloads.SizeSmall)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t3, err := Table3(workloads.SizeSmall)
+		t3, err := e.Table3(workloads.SizeSmall)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return FormatSpeedups("Figure 6", rows) + FormatTable3(t3)
 	}
 
-	SetParallelism(1)
-	ClearCache()
-	serial := render()
-
-	SetParallelism(8)
-	ClearCache()
-	parallel := render()
-	SetParallelism(0)
-	ClearCache()
+	serial := render(&Engine{Parallel: 1})
+	parallel := render(&Engine{Parallel: 8})
 
 	if serial != parallel {
 		t.Errorf("serial and parallel tables differ:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)

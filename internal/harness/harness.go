@@ -1,25 +1,32 @@
 // Package harness runs the paper's experiments: it executes workloads on
 // configured VMs (warmup run + measured run, mirroring the paper's
-// best-run-under-continuous-execution methodology), caches results within
-// the process, and regenerates every table and figure of the evaluation
-// section.
+// best-run-under-continuous-execution methodology) and regenerates every
+// table and figure of the evaluation section.
 //
-// Every run is an independent, deterministic simulation, so the harness
-// schedules batches of runs across a bounded worker pool (see grid.go) and
-// deduplicates concurrent requests for the same cell with singleflight
-// semantics layered on the result cache: N callers asking for the same Spec
-// share one VM execution.
+// Everything that runs a cell runs against an Engine, which holds the
+// run defaults, the telemetry recorder, the grid's worker count and
+// progress writer, and the result and PGO profile caches. The package
+// itself keeps no state: two Engines in one process share nothing.
+//
+// Every run is an independent, deterministic simulation, so an Engine
+// schedules batches of runs across a bounded worker pool (see grid.go)
+// and deduplicates concurrent requests for the same cell through its
+// singleflight result cache: N callers asking for the same Spec share one
+// VM execution.
 package harness
 
 import (
 	"fmt"
+	"io"
 	"sync"
-	"sync/atomic"
 
 	"strider/internal/arch"
 	"strider/internal/core/jit"
+	"strider/internal/flight"
 	"strider/internal/heap"
+	"strider/internal/ir"
 	"strider/internal/memsim"
+	"strider/internal/progfuzz"
 	"strider/internal/static"
 	"strider/internal/telemetry"
 	"strider/internal/vm"
@@ -42,14 +49,15 @@ type Spec struct {
 	// JIT overrides the paper-default compiler options when non-nil.
 	JIT *jit.Options
 	// HW selects the hardware-prefetcher model memsim simulates. Empty
-	// means the process default (SetHWModel), which itself defaults to the
+	// means the Engine's default (Engine.HW), which itself defaults to the
 	// machine's model (the stream detector).
 	HW string
 	// Predict selects the prediction source feeding prefetch decisions:
 	// "dynamic" (the paper's object inspection), "static" (the offline
 	// analyzer), or "pgo" (replay a recorded profile; the harness builds
 	// and caches the profile from a dynamic run of the same cell). Empty
-	// means the process default (SetPredict), which defaults to dynamic.
+	// means the Engine's default (Engine.Predict), which defaults to
+	// dynamic.
 	Predict string
 }
 
@@ -59,12 +67,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Warmups == 0 {
 		s.Warmups = 1
-	}
-	if s.HW == "" {
-		s.HW = HWModel()
-	}
-	if s.Predict == "" {
-		s.Predict = PredictSource()
 	}
 	if s.Predict == "" {
 		s.Predict = "dynamic"
@@ -96,107 +98,95 @@ func (s Spec) String() string {
 	return fmt.Sprintf("%s/%s/%s/%s", s.Workload, s.Size, s.Machine, s.Mode)
 }
 
-// Canonical returns the spec with the engine defaults applied (machine,
-// warmup count, process-wide hardware-prefetcher model).
+// Canonical returns the spec with the static defaults applied: machine,
+// warmup count and prediction source. It reads no Engine, so a spec that
+// leaves HW or Predict empty is canonical for an Engine without those
+// defaults.
 func (s Spec) Canonical() Spec { return s.withDefaults() }
 
-// Key returns the engine's canonical cache key for the spec, defaults
-// applied. Two specs with the same key are the same cell: the result
-// cache, the singleflight layer, and the execution server's shard and
-// pool maps all hash this identity.
+// Key returns the canonical cache key for the spec, static defaults
+// applied. Two specs with the same key are the same cell: an Engine's
+// result cache and the execution server's result cache, VM pool and run
+// queue all key on this identity.
 func (s Spec) Key() string { return s.withDefaults().key() }
 
-// call is one in-flight execution other callers of the same key block on.
-type call struct {
-	done  chan struct{}
-	stats vm.RunStats
-	err   error
+// Engine runs experiment cells. It owns the defaults applied to specs
+// that leave HW or Predict empty, the telemetry Recorder, the grid worker
+// count and progress writer, and the caches of results and PGO profiles
+// with their counters. Two Engines share nothing. The zero value is an
+// engine with the built-in defaults; set the exported fields before first
+// use, and do not copy an Engine after first use.
+type Engine struct {
+	// HW is the hardware-prefetcher model for specs that leave HW empty
+	// (the experiments CLI's -hw flag). Empty keeps each machine's own
+	// model, the stream detector. An unknown model fails every such run;
+	// CheckHW validates a name up front.
+	HW string
+	// Predict is the prediction source for specs that leave Predict empty
+	// (the experiments CLI's -predict flag). Empty means dynamic
+	// inspection. CheckPredict validates a name up front.
+	Predict string
+	// Recorder, when non-nil, receives the telemetry of every fresh VM
+	// execution (compile/loop/decision/site events) and one CellEvent per
+	// grid cell. It must be safe for concurrent use: grid workers all emit
+	// into it. Cached or deduplicated cells emit only their CellEvent: the
+	// compile-time events of a spec are recorded once, by the execution
+	// that actually ran.
+	Recorder telemetry.Recorder
+	// Parallel is the worker count of grids that do not set their own;
+	// 0 uses GOMAXPROCS.
+	Parallel int
+	// Progress, when non-nil, receives one line per completed grid cell
+	// (cell name, wall-clock, running count). Progress goes to its own
+	// writer precisely so that table and figure output stays
+	// byte-identical at every parallelism level.
+	Progress io.Writer
+
+	results  flight.Cache[string, vm.RunStats]
+	profiles flight.Cache[string, *static.Profile]
+	// printMu serializes progress lines: concurrent grids on one engine
+	// (the differ, nested figure batches) share its writer, and
+	// unserialized writes from two worker pools would interleave lines.
+	printMu sync.Mutex
 }
 
-var (
-	cacheMu  sync.Mutex
-	cache    = map[string]vm.RunStats{}
-	inflight = map[string]*call{}
-
-	recorderMu sync.Mutex
-	recorder   telemetry.Recorder
-
-	hwMu      sync.Mutex
-	hwDefault string
-
-	predictMu      sync.Mutex
-	predictDefault string
-)
-
-// SetHWModel installs the process-wide default hardware-prefetcher model
-// applied to specs that leave HW empty (the experiments CLI's -hw flag).
-// Empty restores the built-in default (the machine's stream detector).
-// Returns an error for a model memsim does not know.
-func SetHWModel(name string) error {
+// CheckHW returns an error for a hardware-prefetcher model memsim does
+// not know. Empty is valid: the machine's own model.
+func CheckHW(name string) error {
 	if !memsim.ValidHWModel(name) {
 		return fmt.Errorf("harness: unknown hardware-prefetcher model %q (valid: %v)",
 			name, memsim.HWModels())
 	}
-	hwMu.Lock()
-	defer hwMu.Unlock()
-	hwDefault = name
 	return nil
 }
 
-// HWModel returns the process-wide default hardware-prefetcher model
-// ("" when unset).
-func HWModel() string {
-	hwMu.Lock()
-	defer hwMu.Unlock()
-	return hwDefault
-}
-
-// SetPredict installs the process-wide default prediction source applied
-// to specs that leave Predict empty (the experiments CLI's -predict
-// flag). Empty restores the built-in default (dynamic inspection).
-// Returns an error for a source jit does not know.
-func SetPredict(name string) error {
+// CheckPredict returns an error for a prediction source jit does not
+// know. Empty is valid: dynamic inspection.
+func CheckPredict(name string) error {
 	if _, err := jit.ParsePredict(name); err != nil {
 		return fmt.Errorf("harness: %w", err)
 	}
-	predictMu.Lock()
-	defer predictMu.Unlock()
-	predictDefault = name
 	return nil
 }
 
-// PredictSource returns the process-wide default prediction source
-// ("" when unset).
-func PredictSource() string {
-	predictMu.Lock()
-	defer predictMu.Unlock()
-	return predictDefault
+// canonical returns the spec with the engine's HW and Predict defaults
+// and then the static defaults applied: the cell the engine runs and
+// caches for s.
+func (e *Engine) canonical(s Spec) Spec {
+	if s.HW == "" {
+		s.HW = e.HW
+	}
+	if s.Predict == "" {
+		s.Predict = e.Predict
+	}
+	return s.withDefaults()
 }
 
-// SetRecorder installs a process-wide telemetry Recorder: every fresh VM
-// execution threads it through the VM (compile/loop/decision/site events)
-// and every grid cell reports a CellEvent. nil disables telemetry. The
-// Recorder must be safe for concurrent use — grid workers all emit into
-// it. Cached or deduplicated cells emit only their CellEvent: the
-// compile-time events of a spec are recorded once, by the execution that
-// actually ran.
-func SetRecorder(r telemetry.Recorder) {
-	recorderMu.Lock()
-	defer recorderMu.Unlock()
-	recorder = r
-}
-
-// Recorder returns the installed process-wide recorder (nil when unset).
-func Recorder() telemetry.Recorder {
-	recorderMu.Lock()
-	defer recorderMu.Unlock()
-	return recorder
-}
-
-// Counters reports how the engine satisfied Run requests since the last
-// ClearCache: fresh VM executions, completed-result cache hits, requests
-// that joined an execution already in flight (singleflight), and PGO
-// profile-cache hits and misses (a miss is one profiling run).
+// Counters reports how the engine satisfied requests: fresh VM
+// executions, completed-result cache hits, requests that joined an
+// execution already in flight (singleflight), and PGO profile-cache hits
+// and misses (a miss is one profiling run; joining a profiling run in
+// flight counts as a hit).
 type Counters struct {
 	Executions    uint64
 	CacheHits     uint64
@@ -205,89 +195,37 @@ type Counters struct {
 	ProfileMisses uint64
 }
 
-var counters struct {
-	executions    atomic.Uint64
-	cacheHits     atomic.Uint64
-	dedupHits     atomic.Uint64
-	profileHits   atomic.Uint64
-	profileMisses atomic.Uint64
-}
-
-// EngineCounters returns a snapshot of the engine's request counters.
-func EngineCounters() Counters {
+// Counters returns a snapshot of the engine's request counters.
+func (e *Engine) Counters() Counters {
+	r, p := e.results.Stats(), e.profiles.Stats()
 	return Counters{
-		Executions:    counters.executions.Load(),
-		CacheHits:     counters.cacheHits.Load(),
-		DedupHits:     counters.dedupHits.Load(),
-		ProfileHits:   counters.profileHits.Load(),
-		ProfileMisses: counters.profileMisses.Load(),
+		Executions:    r.Misses,
+		CacheHits:     r.Hits,
+		DedupHits:     r.Joins,
+		ProfileHits:   p.Hits + p.Joins,
+		ProfileMisses: p.Misses,
 	}
 }
 
-// ClearCache drops all cached results (including cached PGO profiles) and
-// resets the engine counters (tests use it for isolation). In-flight
-// executions are unaffected: they publish into the new cache when they
-// complete.
-func ClearCache() {
-	cacheMu.Lock()
-	cache = map[string]vm.RunStats{}
-	counters.executions.Store(0)
-	counters.cacheHits.Store(0)
-	counters.dedupHits.Store(0)
-	counters.profileHits.Store(0)
-	counters.profileMisses.Store(0)
-	cacheMu.Unlock()
-	profMu.Lock()
-	profiles = map[string]*static.Profile{}
-	profMu.Unlock()
-}
-
-// Run executes a spec (or returns the process-cached result). Concurrent
-// callers with the same spec share a single underlying VM execution.
-func Run(s Spec) (vm.RunStats, error) {
-	stats, _, err := run(s)
+// Run executes a spec, or returns the engine's cached result for it.
+// Concurrent callers with the same spec share a single VM execution.
+func (e *Engine) Run(s Spec) (vm.RunStats, error) {
+	stats, _, err := e.run(s)
 	return stats, err
 }
 
 // run is Run plus a flag reporting whether this call performed the
 // execution itself (false: served from cache or joined an in-flight run).
-func run(s Spec) (vm.RunStats, bool, error) {
-	s = s.withDefaults()
-	k := s.key()
-	cacheMu.Lock()
-	if r, ok := cache[k]; ok {
-		counters.cacheHits.Add(1)
-		cacheMu.Unlock()
-		return r, false, nil
-	}
-	if c, ok := inflight[k]; ok {
-		counters.dedupHits.Add(1)
-		cacheMu.Unlock()
-		<-c.done
-		return c.stats, false, c.err
-	}
-	c := &call{done: make(chan struct{})}
-	inflight[k] = c
-	cacheMu.Unlock()
-
-	counters.executions.Add(1)
-	c.stats, c.err = execute(s)
-
-	cacheMu.Lock()
-	if c.err == nil {
-		cache[k] = c.stats
-	}
-	delete(inflight, k)
-	cacheMu.Unlock()
-	close(c.done)
-	return c.stats, true, c.err
+func (e *Engine) run(s Spec) (vm.RunStats, bool, error) {
+	s = e.canonical(s)
+	return e.results.Do(s.key(), func() (vm.RunStats, error) { return e.execute(s) })
 }
 
 // execute performs one isolated run: a fresh program build, a fresh VM,
 // and (inside vm.New) a fresh memory simulation — cells share nothing, so
 // any number may run concurrently.
-func execute(s Spec) (vm.RunStats, error) {
-	v, err := NewVM(s, Recorder())
+func (e *Engine) execute(s Spec) (vm.RunStats, error) {
+	v, err := e.NewVM(s, e.Recorder)
 	if err != nil {
 		return vm.RunStats{}, err
 	}
@@ -300,30 +238,41 @@ func execute(s Spec) (vm.RunStats, error) {
 }
 
 // NewVM constructs the fresh VM one execution of the spec uses: the
-// workload's program built at the spec's size on the configured machine,
-// heap, and JIT options, with rec (which may be nil) threaded through as
-// the VM's telemetry recorder. Run, Explain, and the execution server's
-// pooled executor all build VMs here, so a cell means exactly the same
-// simulation everywhere. The spec should be Canonical; NewVM does not
-// apply defaults.
-func NewVM(s Spec, rec telemetry.Recorder) (*vm.VM, error) {
-	w, err := workloads.ByName(s.Workload)
-	if err != nil {
-		return nil, err
+// spec's program — a registered workload built at the spec's size, or
+// the progfuzz program a "fuzz:<seed>" workload names — on the configured
+// machine, heap, and JIT options, with rec (which may be nil) threaded
+// through as the VM's telemetry recorder. A PGO spec takes its profile
+// from the engine's profile cache. Run, Explain, and the execution
+// server's pooled executor all build VMs here, so a cell means exactly
+// the same simulation everywhere. The spec should be Canonical; NewVM
+// applies no defaults.
+func (e *Engine) NewVM(s Spec, rec telemetry.Recorder) (*vm.VM, error) {
+	seed, fuzz := progfuzz.Seed(s.Workload)
+	heapBytes := s.HeapBytes
+	var w *workloads.Workload
+	if !fuzz {
+		var err error
+		if w, err = workloads.ByName(s.Workload); err != nil {
+			return nil, err
+		}
+		if heapBytes == 0 {
+			heapBytes = w.HeapBytes
+		}
 	}
 	m := arch.ByName(s.Machine)
 	if m == nil {
 		return nil, fmt.Errorf("harness: unknown machine %q", s.Machine)
 	}
-	m, err = machineWithHW(m, s.HW)
+	m, err := machineWithHW(m, s.HW)
 	if err != nil {
 		return nil, err
 	}
-	heapBytes := s.HeapBytes
-	if heapBytes == 0 {
-		heapBytes = w.HeapBytes
+	var prog *ir.Program
+	if fuzz {
+		prog = progfuzz.Program(seed)
+	} else {
+		prog = w.Build(s.Size)
 	}
-	prog := w.Build(s.Size)
 	if err := prog.Validate(); err != nil {
 		return nil, fmt.Errorf("harness: %s: %w", s.Workload, err)
 	}
@@ -345,7 +294,7 @@ func NewVM(s Spec, rec telemetry.Recorder) (*vm.VM, error) {
 		}
 		jitOpts.Predict = ps
 		if ps == jit.PredictPGO {
-			prof, err := ProfileFor(s)
+			prof, err := e.ProfileFor(s)
 			if err != nil {
 				return nil, err
 			}
@@ -365,12 +314,12 @@ func NewVM(s Spec, rec telemetry.Recorder) (*vm.VM, error) {
 // Explain runs one spec on a fresh, uncached VM with a private trace
 // recorder and returns the human-readable per-loop decision log: every
 // JIT compilation, inspection verdict, and Sec. 3.3 filter decision, plus
-// the measured run's per-site prefetch attribution. The process cache is
+// the measured run's per-site prefetch attribution. The result cache is
 // bypassed (and left untouched) so the log is always complete.
-func Explain(s Spec) (string, error) {
-	s = s.withDefaults()
+func (e *Engine) Explain(s Spec) (string, error) {
+	s = e.canonical(s)
 	tr := telemetry.NewTrace()
-	v, err := NewVM(s, tr)
+	v, err := e.NewVM(s, tr)
 	if err != nil {
 		return "", err
 	}
@@ -386,9 +335,8 @@ func Explain(s Spec) (string, error) {
 // selection runs on a private copy; an empty selection returns the
 // machine untouched (its own default model).
 func machineWithHW(m *arch.Machine, hw string) (*arch.Machine, error) {
-	if !memsim.ValidHWModel(hw) {
-		return nil, fmt.Errorf("harness: unknown hardware-prefetcher model %q (valid: %v)",
-			hw, memsim.HWModels())
+	if err := CheckHW(hw); err != nil {
+		return nil, err
 	}
 	if hw == "" {
 		return m, nil
@@ -410,12 +358,12 @@ func SpeedupPct(base, opt vm.RunStats) float64 {
 // Speedups runs BASELINE, INTER, and INTER+INTRA for one workload on one
 // machine and returns (interPct, interIntraPct). The three cells run as
 // one batch across the worker pool.
-func Speedups(name, machine string, size workloads.Size) (float64, float64, error) {
+func (e *Engine) Speedups(name, machine string, size workloads.Size) (float64, float64, error) {
 	w, err := workloads.ByName(name)
 	if err != nil {
 		return 0, 0, err
 	}
-	stats, err := runBatch(modeSpecs(w, machine, size))
+	stats, err := e.runBatch(modeSpecs(w, machine, size))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -10,27 +10,92 @@ import (
 )
 
 func TestRunAndCache(t *testing.T) {
-	ClearCache()
+	e := new(Engine)
 	spec := Spec{Workload: "search", Size: workloads.SizeSmall, Machine: "Pentium4", Mode: jit.Baseline}
-	a, err := Run(spec)
+	a, err := e.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(spec)
+	b, err := e.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Cycles != b.Cycles || a.Checksum != b.Checksum {
 		t.Error("cached result differs")
 	}
+	if c := e.Counters(); c.Executions != 1 || c.CacheHits != 1 {
+		t.Errorf("counters %+v, want one execution and one cache hit", c)
+	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(Spec{Workload: "nope"}); err == nil {
+	e := new(Engine)
+	if _, err := e.Run(Spec{Workload: "nope"}); err == nil {
 		t.Error("unknown workload must error")
 	}
-	if _, err := Run(Spec{Workload: "search", Machine: "VAX"}); err == nil {
+	if _, err := e.Run(Spec{Workload: "search", Machine: "VAX"}); err == nil {
 		t.Error("unknown machine must error")
+	}
+	if _, err := (&Engine{HW: "psychic"}).Run(Spec{Workload: "search"}); err == nil {
+		t.Error("unknown engine HW default must error")
+	}
+	if CheckHW("psychic") == nil || CheckPredict("psychic") == nil {
+		t.Error("CheckHW and CheckPredict must reject unknown names")
+	}
+	if CheckHW("") != nil || CheckPredict("") != nil {
+		t.Error("empty names select the built-in defaults")
+	}
+}
+
+// TestEnginesShareNothing: a result or profile cached by one Engine is
+// invisible to another — the same spec on a fresh Engine is an execution,
+// not a hit, and its PGO profile is built again.
+func TestEnginesShareNothing(t *testing.T) {
+	spec := Spec{Workload: "search", Size: workloads.SizeSmall, Mode: jit.InterIntra, Predict: "pgo"}
+	a, b := new(Engine), new(Engine)
+	ra, err := a.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := b.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra != rb {
+		t.Error("one spec on two engines gave different results")
+	}
+	want := Counters{Executions: 1, ProfileMisses: 1}
+	for name, e := range map[string]*Engine{"a": a, "b": b} {
+		if c := e.Counters(); c != want {
+			t.Errorf("engine %s counters %+v, want %+v", name, c, want)
+		}
+	}
+}
+
+// TestEngineDefaultsApply: an Engine's HW and Predict defaults fill the
+// specs that leave those fields empty, and only those; Spec.Key stays
+// the static identity.
+func TestEngineDefaultsApply(t *testing.T) {
+	spec := Spec{Workload: "search", Size: workloads.SizeSmall, Mode: jit.InterIntra}
+	e := &Engine{HW: "ipstride", Predict: "static"}
+	got := e.canonical(spec)
+	if got.HW != "ipstride" || got.Predict != "static" {
+		t.Errorf("engine defaults not applied: %+v", got)
+	}
+	explicit := spec
+	explicit.HW, explicit.Predict = "none", "dynamic"
+	if got := e.canonical(explicit); got.HW != "none" || got.Predict != "dynamic" {
+		t.Errorf("engine defaults override explicit fields: %+v", got)
+	}
+	if spec.Key() != new(Engine).canonical(spec).key() {
+		t.Error("Spec.Key must equal the key of an Engine without defaults")
+	}
+	st, err := e.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.HWModel != "ipstride" {
+		t.Errorf("run simulated hw model %q, want the engine default ipstride", st.HWModel)
 	}
 }
 
@@ -83,7 +148,8 @@ func TestFiguresSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all workloads")
 	}
-	rows6, err := Figure6(workloads.SizeSmall)
+	e := new(Engine)
+	rows6, err := e.Figure6(workloads.SizeSmall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +174,7 @@ func TestFiguresSmall(t *testing.T) {
 		t.Error("formatted figure incomplete")
 	}
 
-	rows8, err := Figure8(workloads.SizeSmall)
+	rows8, err := e.Figure8(workloads.SizeSmall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +194,7 @@ func TestFiguresSmall(t *testing.T) {
 		t.Error("MPI formatting")
 	}
 
-	rows11, err := Figure11(workloads.SizeSmall)
+	rows11, err := e.Figure11(workloads.SizeSmall)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +207,7 @@ func TestFiguresSmall(t *testing.T) {
 		t.Error("Figure 11 formatting")
 	}
 
-	t3, err := Table3(workloads.SizeSmall)
+	t3, err := e.Table3(workloads.SizeSmall)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,6 @@ import (
 	"strider/internal/workloads"
 )
 
-// hwCrossWorkloads are the workloads of the software×hardware ablation:
-// the paper's three headline benchmarks (db, jess, euler — the ones with
-// stated speedups) plus mtrt, the pointer-chasing stress case where
-// hardware stride detection has the least to work with.
-var hwCrossWorkloads = []string{"jess", "db", "euler", "mtrt"}
-
 // HWCrossRow is one (machine, hardware model, workload) group of the
 // software×hardware cross-product: the software-prefetching speedups
 // measured with that hardware prefetcher underneath, plus what the
@@ -40,9 +34,14 @@ type HWCrossRow struct {
 // workload, it runs BASELINE, INTER, and INTER+INTRA and reports the
 // software speedups under that hardware model. All cells run as one batch
 // across the worker pool.
-func HWCross(size workloads.Size) ([]HWCrossRow, error) {
+func (e *Engine) HWCross(size workloads.Size) ([]HWCrossRow, error) {
 	machines := []string{"Pentium4", "AthlonMP"}
 	models := memsim.HWModels()
+	// The ablation workloads: the paper's three headline benchmarks (db,
+	// jess, euler — the ones with stated speedups) plus mtrt, the
+	// pointer-chasing stress case where hardware stride detection has the
+	// least to work with.
+	hwCrossWorkloads := []string{"jess", "db", "euler", "mtrt"}
 
 	var specs []Spec
 	for _, machine := range machines {
@@ -61,7 +60,7 @@ func HWCross(size workloads.Size) ([]HWCrossRow, error) {
 			}
 		}
 	}
-	stats, err := runBatch(specs)
+	stats, err := e.runBatch(specs)
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ type PredictRow struct {
 // PredictCross measures the prediction-source comparison: every workload
 // on both machines under BASELINE and INTER+INTRA with dynamic, static,
 // and PGO prediction. All cells run as one batch across the worker pool.
-func PredictCross(size workloads.Size) ([]PredictRow, error) {
+func (e *Engine) PredictCross(size workloads.Size) ([]PredictRow, error) {
 	machines := []string{"Pentium4", "AthlonMP"}
 	predicts := []string{"dynamic", "static", "pgo"}
 
@@ -57,7 +57,7 @@ func PredictCross(size workloads.Size) ([]PredictRow, error) {
 			}
 		}
 	}
-	stats, err := runBatch(specs)
+	stats, err := e.runBatch(specs)
 	if err != nil {
 		return nil, err
 	}

@@ -2,69 +2,28 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"strider/internal/static"
 )
 
-// The PGO profile cache: one profiling run per dynamic-equivalent cell,
-// shared by every PGO execution of that cell (the cross-run profile reuse
-// the execution server leans on). Entries live until ClearCache.
-var (
-	profMu     sync.Mutex
-	profiles   = map[string]*static.Profile{}
-	profFlight = map[string]*profCall{}
-)
-
-type profCall struct {
-	done chan struct{}
-	p    *static.Profile
-	err  error
-}
-
 // ProfileFor returns the PGO profile for the spec's dynamic-equivalent
-// cell, building and caching it with one dynamic profiling run on first
-// use. Concurrent callers for the same cell share a single profiling run
-// (singleflight); a shared or cached profile counts as a profile hit, a
-// profiling run as a miss.
-func ProfileFor(s Spec) (*static.Profile, error) {
-	sd := s.withDefaults()
+// cell from the engine's profile cache, building it with one dynamic
+// profiling run on first use. Every PGO execution of the cell shares the
+// profile (the cross-run profile reuse the execution server leans on),
+// and concurrent callers for the same cell share a single profiling run.
+func (e *Engine) ProfileFor(s Spec) (*static.Profile, error) {
+	sd := e.canonical(s)
 	sd.Predict = "dynamic"
 	k := sd.key()
-	profMu.Lock()
-	if p, ok := profiles[k]; ok {
-		counters.profileHits.Add(1)
-		profMu.Unlock()
-		return p, nil
-	}
-	if c, ok := profFlight[k]; ok {
-		counters.profileHits.Add(1)
-		profMu.Unlock()
-		<-c.done
-		return c.p, c.err
-	}
-	c := &profCall{done: make(chan struct{})}
-	profFlight[k] = c
-	profMu.Unlock()
-
-	counters.profileMisses.Add(1)
-	c.p, c.err = buildProfile(sd, k)
-
-	profMu.Lock()
-	if c.err == nil {
-		profiles[k] = c.p
-	}
-	delete(profFlight, k)
-	profMu.Unlock()
-	close(c.done)
-	return c.p, c.err
+	p, _, err := e.profiles.Do(k, func() (*static.Profile, error) { return e.buildProfile(sd, k) })
+	return p, err
 }
 
 // buildProfile executes the cell dynamically once — warmup plus measured
 // run, the same shape as a normal execution, so every method crosses the
 // compile threshold — with profile recording enabled.
-func buildProfile(sd Spec, cell string) (*static.Profile, error) {
-	v, err := NewVM(sd, nil)
+func (e *Engine) buildProfile(sd Spec, cell string) (*static.Profile, error) {
+	v, err := e.NewVM(sd, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -14,10 +14,8 @@ import (
 // of distinct and duplicate cells, so fresh executions, singleflight
 // joins, and cache hits all emit into the same recorder concurrently.
 func TestRecorderUnderParallelGrid(t *testing.T) {
-	ClearCache()
 	tr := telemetry.NewTrace()
-	SetRecorder(tr)
-	defer SetRecorder(nil)
+	e := &Engine{Recorder: tr}
 
 	var specs []Spec
 	for i := 0; i < 4; i++ { // duplicates on purpose
@@ -30,7 +28,7 @@ func TestRecorderUnderParallelGrid(t *testing.T) {
 			}
 		}
 	}
-	results := Grid{Specs: specs, Parallel: 8}.Run()
+	results := Grid{Specs: specs, Engine: e, Parallel: 8}.Run()
 	for _, r := range results {
 		if r.Err != nil {
 			t.Fatalf("%s: %v", r.Spec, r.Err)
@@ -67,11 +65,12 @@ func TestRecorderUnderParallelGrid(t *testing.T) {
 func TestExplainIsDeterministicAndComplete(t *testing.T) {
 	spec := Spec{Workload: "search", Size: workloads.SizeSmall,
 		Machine: "Pentium4", Mode: jit.InterIntra}
-	a, err := Explain(spec)
+	e := new(Engine)
+	a, err := e.Explain(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Explain(spec)
+	b, err := e.Explain(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,20 +87,20 @@ func TestExplainIsDeterministicAndComplete(t *testing.T) {
 // TestExplainLeavesCacheUntouched: Explain must bypass the result cache
 // in both directions — no hit taken, no entry published.
 func TestExplainLeavesCacheUntouched(t *testing.T) {
-	ClearCache()
+	e := new(Engine)
 	spec := Spec{Workload: "search", Size: workloads.SizeSmall,
 		Machine: "AthlonMP", Mode: jit.Inter}
-	if _, err := Explain(spec); err != nil {
+	if _, err := e.Explain(spec); err != nil {
 		t.Fatal(err)
 	}
-	c := EngineCounters()
+	c := e.Counters()
 	if c.Executions != 0 || c.CacheHits != 0 {
 		t.Errorf("Explain touched the engine: %+v", c)
 	}
-	if _, _, err := run(spec); err != nil {
+	if _, _, err := e.run(spec); err != nil {
 		t.Fatal(err)
 	}
-	if got := EngineCounters().Executions; got != 1 {
+	if got := e.Counters().Executions; got != 1 {
 		t.Errorf("spec should still execute fresh after Explain, executions = %d", got)
 	}
 }

@@ -172,8 +172,7 @@ type Engine struct {
 	// memsim.LoadHit/StoreHit inline, fall into the full access as a
 	// direct — not interface — call. nil routes every access through the
 	// MemModel interface: any other model (oracle taps, test doubles, flat
-	// memory), a configuration FastLaneOK excludes, or the
-	// STRIDER_NO_FASTLANE escape hatch. Derived by SetMem; the lane choice
+	// memory), or the STRIDER_NO_FASTLANE escape hatch. Derived by SetMem; the lane choice
 	// is made once at wiring, never per access.
 	fastMem *memsim.Memory
 
@@ -219,7 +218,7 @@ func New(prog *ir.Program, h *heap.Heap, mem MemModel, disp Dispatcher, m *arch.
 func (e *Engine) SetMem(m MemModel) {
 	e.Mem = m
 	e.fastMem = nil
-	if fm, ok := m.(*memsim.Memory); ok && fm.FastLaneOK() && !fastLaneDisabled() {
+	if fm, ok := m.(*memsim.Memory); ok && !fastLaneDisabled() {
 		e.fastMem = fm
 	}
 }

@@ -40,10 +40,9 @@
 // invisible to every model behind the interface, and stores never train
 // at all. ipstride, tracker, and multistride key on the load-site pc, but
 // they too observe only the miss stream, which the probes by construction
-// never intercept. A hypothetical model that must observe L1 hits cannot
-// be expressed through HWPrefetcher.Train today; if one is added it must
-// implement perAccessTrainer so FastLaneOK excludes it — engines consult
-// that once at wiring time (interp.Engine.SetMem), never per access.
+// never intercept. A model that had to observe L1 hits could not be
+// expressed through HWPrefetcher.Train; adding one would mean giving the
+// hit lane a way to step aside for it, which no model needs today.
 package memsim
 
 // LoadHit is the demand-load hit lane: a TLB-memo hit plus an L1-memo hit
@@ -83,23 +82,4 @@ func (mem *Memory) StoreHit(addr uint32, now uint64) (uint64, bool) {
 	}
 	mem.C.Stores++
 	return 0, true
-}
-
-// perAccessTrainer is the opt-out hook for a hardware-prefetcher model
-// that needs to observe L1 hits (none of the zoo does — Train is defined
-// on the miss/prefetch stream). Implementing it with TrainsOnHit() true
-// makes FastLaneOK exclude the configuration from the hit lane.
-type perAccessTrainer interface {
-	TrainsOnHit() bool
-}
-
-// FastLaneOK reports whether this Memory's configuration permits the
-// LoadHit/StoreHit bypass. Engines must consult it once when they pin the
-// concrete backend (at reset/wiring), never per access, so lane choice is
-// a configuration property rather than runtime behaviour.
-func (mem *Memory) FastLaneOK() bool {
-	if t, ok := mem.hw.(perAccessTrainer); ok && t.TrainsOnHit() {
-		return false
-	}
-	return true
 }

@@ -25,11 +25,31 @@ package progfuzz
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"strider/internal/classfile"
 	"strider/internal/ir"
 	"strider/internal/value"
 )
+
+// Prefix marks a workload name as a generated program instead of a
+// registered benchmark analog: "fuzz:<seed>" with a decimal or 0x-hex
+// seed.
+const Prefix = "fuzz:"
+
+// Seed reports whether name is a "fuzz:<seed>" program name and, if so,
+// its seed. A name with the prefix but an unparsable seed reports false.
+func Seed(name string) (uint64, bool) {
+	if !strings.HasPrefix(name, Prefix) {
+		return 0, false
+	}
+	seed, err := strconv.ParseUint(strings.TrimPrefix(name, Prefix), 0, 64)
+	if err != nil {
+		return 0, false
+	}
+	return seed, true
+}
 
 // NumScenarios is the number of distinct generator scenarios; seed&0xF
 // selects one (values >= NumScenarios compose several shapes).

@@ -4,13 +4,10 @@ import (
 	"fmt"
 
 	"strider/internal/arch"
-	"strider/internal/core/jit"
 	"strider/internal/harness"
 	"strider/internal/heap"
 	"strider/internal/memsim"
 	"strider/internal/oracle"
-	"strider/internal/progfuzz"
-	"strider/internal/static"
 	"strider/internal/telemetry"
 	"strider/internal/vm"
 )
@@ -65,9 +62,11 @@ func (r Response) Deterministic() Response {
 	return r
 }
 
-// executor runs jobs on fresh or recycled VMs.
+// executor runs jobs on fresh or recycled VMs. Fresh VMs come from the
+// server's private harness Engine, whose profile cache serves PGO jobs.
 type executor struct {
-	pool *vmPool
+	pool   *vmPool
+	engine *harness.Engine
 }
 
 // modeSpelling maps jit.Mode strings back to the request vocabulary.
@@ -110,65 +109,6 @@ func hwSpelling(s harness.Spec) string {
 	return memsim.DefaultHWModel
 }
 
-// newVM builds the fresh VM one execution of the cell uses: the harness
-// path for registered workloads, the progfuzz generator for fuzz seeds.
-func newVM(spec harness.Spec, rec telemetry.Recorder) (*vm.VM, error) {
-	seed, ok := Job{Workload: spec.Workload}.FuzzSeed()
-	if !ok {
-		return harness.NewVM(spec, rec)
-	}
-	m := arch.ByName(spec.Machine)
-	if m == nil {
-		return nil, fmt.Errorf("server: unknown machine %q", spec.Machine)
-	}
-	if spec.HW != "" {
-		mc := *m
-		mc.HWPrefetcher = spec.HW
-		m = &mc
-	}
-	jo, err := fuzzJITOpts(seed, m, spec)
-	if err != nil {
-		return nil, err
-	}
-	return vm.New(progfuzz.Program(seed), vm.Config{
-		Machine:   m,
-		Mode:      spec.Mode,
-		HeapBytes: spec.HeapBytes,
-		GC:        spec.GC,
-		JIT:       jo,
-		Recorder:  rec,
-	}), nil
-}
-
-// fuzzJITOpts threads the prediction source through to fuzz-seed cells,
-// which bypass harness.NewVM. Dynamic prediction keeps the VM defaults
-// (nil options). PGO jobs get their profile from one inline dynamic
-// profiling run of the same program — fuzz programs are not registered
-// workloads, so they sit outside the harness profile cache.
-func fuzzJITOpts(seed uint64, m *arch.Machine, spec harness.Spec) (*jit.Options, error) {
-	ps, err := jit.ParsePredict(spec.Predict)
-	if err != nil || ps == jit.PredictDynamic {
-		return nil, err
-	}
-	o := jit.DefaultOptions(m, spec.Mode)
-	o.Predict = ps
-	if ps == jit.PredictPGO {
-		prof := static.NewProfile(spec.Key())
-		pv := vm.New(progfuzz.Program(seed), vm.Config{
-			Machine:   m,
-			Mode:      spec.Mode,
-			HeapBytes: spec.HeapBytes,
-			GC:        spec.GC,
-		})
-		pv.JITOpts.RecordProfile = prof
-		if _, err := pv.Measure(nil, spec.Warmups); err != nil {
-			return nil, fmt.Errorf("server: pgo profiling %s: %w", spec.Workload, err)
-		}
-		o.Profile = prof
-	}
-	return &o, nil
-}
-
 // run executes one cell, whose canonical key the caller has already
 // computed, and renders its deterministic response. The serving-path
 // metadata (Pooled) is stamped here; Cached/WallNs belong to the layer
@@ -189,7 +129,7 @@ func (e *executor) run(spec harness.Spec, key string, explain bool) *Response {
 		// Explain runs bypass the pool: the decision trace needs the
 		// compile-time events, which a recycled VM already spent.
 		tr := telemetry.NewTrace()
-		v, err := newVM(spec, tr)
+		v, err := e.engine.NewVM(spec, tr)
 		if err != nil {
 			return respondError(resp, err)
 		}
@@ -218,7 +158,7 @@ func (e *executor) run(spec harness.Spec, key string, explain bool) *Response {
 		// outcome. Fall through to a fresh execution.
 	}
 
-	v, err := newVM(spec, nil)
+	v, err := e.engine.NewVM(spec, nil)
 	if err != nil {
 		return respondError(resp, err)
 	}

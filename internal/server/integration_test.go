@@ -32,13 +32,12 @@ func fullCellSet() []Job {
 func TestServiceMatchesSerialHarness(t *testing.T) {
 	jobs := fullCellSet()
 
-	// Serial ground truth: one worker, fresh engine cache.
-	harness.ClearCache()
+	// Serial ground truth: one worker, fresh engine.
 	specs := make([]harness.Spec, len(jobs))
 	for i, jb := range jobs {
 		specs[i] = jb.Spec()
 	}
-	serial := harness.Grid{Specs: specs, Parallel: 1}.Run()
+	serial := harness.Grid{Specs: specs, Engine: new(harness.Engine), Parallel: 1}.Run()
 	want := make(map[string]harness.Result, len(serial))
 	for _, r := range serial {
 		if r.Err != nil {

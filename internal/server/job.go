@@ -4,7 +4,7 @@
 // front (the CLI's exit-2 contract, rendered as 4xx responses with
 // machine-readable bodies), scheduled on one run queue drained by one
 // worker per core, with bounded admission and explicit backpressure (429 +
-// Retry-After), served from a sharded singleflight result cache, and
+// Retry-After), served from a bounded singleflight result cache, and
 // executed on pooled VMs whose cheap reset (the lazy-backing heap)
 // amortizes program build and JIT compilation across requests.
 //
@@ -25,12 +25,13 @@ import (
 	"strider/internal/harness"
 	"strider/internal/heap"
 	"strider/internal/memsim"
+	"strider/internal/progfuzz"
 	"strider/internal/workloads"
 )
 
 // FuzzPrefix marks a job workload as a progfuzz seed program instead of a
 // registered benchmark analog: "fuzz:<seed>" with a decimal or 0x-hex seed.
-const FuzzPrefix = "fuzz:"
+const FuzzPrefix = progfuzz.Prefix
 
 // Job is one submitted execution cell. The field vocabulary mirrors
 // harness.Spec; enumerated fields take the CLI flag spellings
@@ -106,16 +107,7 @@ func machineNames() []string {
 
 // FuzzSeed reports whether the job is a progfuzz program and, if so, its
 // seed. An unparsable seed is reported by Validate, not here.
-func (j Job) FuzzSeed() (uint64, bool) {
-	if !strings.HasPrefix(j.Workload, FuzzPrefix) {
-		return 0, false
-	}
-	seed, err := strconv.ParseUint(strings.TrimPrefix(j.Workload, FuzzPrefix), 0, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seed, true
-}
+func (j Job) FuzzSeed() (uint64, bool) { return progfuzz.Seed(j.Workload) }
 
 // Validate checks every enumerated field up front and returns a
 // machine-readable *Error naming the offending field and the valid set —

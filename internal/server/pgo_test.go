@@ -6,8 +6,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-
-	"strider/internal/harness"
 )
 
 // pgoCells picks cells with real prefetch activity on both machines —
@@ -34,7 +32,6 @@ func pgoCells() []Job {
 // /stats must report the warmup as profile misses and everything after
 // as hits.
 func TestPGOHammerMatchesDynamic(t *testing.T) {
-	harness.ClearCache()
 	jobs := pgoCells()
 
 	srv := New(Config{Shards: 4})
@@ -55,15 +52,16 @@ func TestPGOHammerMatchesDynamic(t *testing.T) {
 	}
 
 	// Warm the profile cache: exactly one dynamic profiling run per cell.
-	before := harness.EngineCounters()
+	engine := srv.exec.engine
+	before := engine.Counters()
 	for _, jb := range jobs {
 		pj := jb
 		pj.Predict = "pgo"
-		if _, err := harness.ProfileFor(pj.Spec()); err != nil {
+		if _, err := engine.ProfileFor(pj.Spec()); err != nil {
 			t.Fatalf("warm %s/%s: %v", jb.Workload, jb.Machine, err)
 		}
 	}
-	warmed := harness.EngineCounters()
+	warmed := engine.Counters()
 	if got := warmed.ProfileMisses - before.ProfileMisses; got != uint64(len(jobs)) {
 		t.Fatalf("warmup built %d profiles, want %d", got, len(jobs))
 	}
@@ -146,7 +144,7 @@ func TestPGOHammerMatchesDynamic(t *testing.T) {
 		t.Error(err)
 	}
 
-	after := harness.EngineCounters()
+	after := engine.Counters()
 	if after.ProfileMisses != warmed.ProfileMisses {
 		t.Errorf("hammer re-profiled %d cells; the warmed cache must serve every PGO job",
 			after.ProfileMisses-warmed.ProfileMisses)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -12,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"strider/internal/flight"
 	"strider/internal/harness"
 	"strider/internal/telemetry"
 )
@@ -22,15 +22,15 @@ import (
 type Config struct {
 	// Shards is the number of workers (default GOMAXPROCS). Every worker
 	// drains the one shared run queue, so any idle worker takes any cell,
-	// while one cell's executions still run one at a time. It also sets
-	// how many lock stripes the result cache has.
+	// while one cell's executions still run one at a time.
 	Shards int
 	// QueueDepth is the admission depth per worker (default 64): at most
 	// Shards × QueueDepth accepted jobs wait to start. Beyond that a submit
 	// gets explicit backpressure: 429 + Retry-After.
 	QueueDepth int
-	// CacheEntries caps the completed results cached per cache shard
-	// (default 1024; negative disables result caching).
+	// CacheEntries caps the results the cache holds, in total (default
+	// 1024; negative disables result caching). Past the cap, finishing an
+	// execution evicts the oldest completed results.
 	CacheEntries int
 	// PoolKeys caps the number of distinct cells with a parked VM
 	// (default 256; negative disables VM pooling).
@@ -74,28 +74,21 @@ type task struct {
 	spec    harness.Spec
 	key     string
 	explain bool
-	// entry is the cache slot this execution publishes into (nil for
-	// nocache and explain runs).
-	entry *cacheEntry
+	// call is the cache entry this execution finishes, waking every
+	// request that joined it (nil for nocache and explain runs).
+	call *flight.Call[*Response]
 	// resp is set by the worker before done is closed.
 	resp *Response
 	done chan struct{}
 }
 
-// cacheEntry is one cell's slot in the sharded result cache. Until done
-// is closed it represents an execution in flight — concurrent submitters
-// of the same cell wait on it instead of queueing their own run
-// (singleflight). resp stays nil if the execution was never enqueued
-// (backpressure) so joiners can fail the same way the submitter did.
-type cacheEntry struct {
-	done chan struct{}
-	resp *Response
-}
-
-type cacheShard struct {
-	mu sync.Mutex
-	m  map[string]*cacheEntry
-}
+// Backpressure outcomes. A cacheable submit that is refused finishes its
+// cache entry with one of these, so the requests that joined it fail the
+// same way and a later submit of the cell tries again.
+var (
+	errDraining  = errors.New("server draining")
+	errQueueFull = errors.New("run queue full")
+)
 
 // worker is one worker goroutine's utilization counters.
 type worker struct {
@@ -110,9 +103,11 @@ type Server struct {
 	cfg     Config
 	exec    *executor
 	workers []*worker
-	cache   []*cacheShard
-	mux     *http.ServeMux
-	start   time.Time
+	// cache holds each cell's response, completed or in flight; nil when
+	// result caching is disabled.
+	cache *flight.Cache[string, *Response]
+	mux   *http.ServeMux
+	start time.Time
 
 	// runq is the shared run queue every worker drains. pending counts the
 	// accepted tasks that have not started executing — queued or waiting
@@ -138,10 +133,6 @@ type Server struct {
 	accepted   atomic.Uint64
 	completed  atomic.Uint64
 	traps      atomic.Uint64
-	cacheHits  atomic.Uint64
-	cacheMiss  atomic.Uint64
-	dedupJoins atomic.Uint64
-	evictions  atomic.Uint64
 	rejectFull atomic.Uint64
 	rejectGone atomic.Uint64 // rejected because draining
 	rejectBad  atomic.Uint64 // validation / protocol rejections
@@ -153,16 +144,17 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		exec:    &executor{pool: newVMPool(poolCap(cfg.PoolKeys))},
+		exec:    &executor{pool: newVMPool(poolCap(cfg.PoolKeys)), engine: &harness.Engine{}},
 		workers: make([]*worker, cfg.Shards),
-		cache:   make([]*cacheShard, cfg.Shards),
 		start:   time.Now(),
 		runq:    make(chan *task, cfg.Shards*cfg.QueueDepth),
 		running: make(map[string][]*task),
 	}
+	if cfg.CacheEntries > 0 {
+		s.cache = &flight.Cache[string, *Response]{Max: cfg.CacheEntries}
+	}
 	for i := range s.workers {
 		s.workers[i] = &worker{}
-		s.cache[i] = &cacheShard{m: make(map[string]*cacheEntry)}
 		go s.work(s.workers[i])
 	}
 	mux := http.NewServeMux()
@@ -207,13 +199,6 @@ func (s *Server) Draining() bool {
 func (s *Server) Close() {
 	s.Drain()
 	s.stopOnce.Do(func() { close(s.runq) })
-}
-
-// shardFor hashes a cell key onto its result-cache shard index.
-func (s *Server) shardFor(key string) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(len(s.cache)))
 }
 
 // work is one worker's loop: take the next task off the shared run queue
@@ -266,9 +251,8 @@ func (s *Server) execute(w *worker, t *task) {
 	wall := time.Since(start)
 	resp.WallNs = wall.Nanoseconds()
 	t.resp = resp
-	if t.entry != nil {
-		t.entry.resp = resp
-		s.publish(t.key, t.entry)
+	if t.call != nil {
+		s.cache.Finish(t.key, t.call, resp, nil)
 	}
 	close(t.done)
 	if resp.Trap != "" || resp.Err != "" {
@@ -287,33 +271,6 @@ func (s *Server) execute(w *worker, t *task) {
 	w.busy.Store(false)
 	w.processed.Add(1)
 	s.jobs.Done()
-}
-
-// publish installs a completed entry in the cache, evicting an arbitrary
-// completed entry when the shard is over capacity. In-flight entries are
-// never evicted — waiters hold them.
-func (s *Server) publish(key string, e *cacheEntry) {
-	if s.cfg.CacheEntries < 0 {
-		return
-	}
-	cs := s.cache[s.shardFor(key)]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if len(cs.m) < s.cfg.CacheEntries {
-		return // entry was installed at submit time; still within capacity
-	}
-	for k, old := range cs.m {
-		if k == key {
-			continue
-		}
-		select {
-		case <-old.done:
-			delete(cs.m, k)
-			s.evictions.Add(1)
-			return
-		default:
-		}
-	}
 }
 
 // errorResponse writes a machine-readable error body.
@@ -373,67 +330,40 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	key := spec.Key()
 
 	// Cache fast path (and singleflight join) — no queue slot consumed.
-	if !nocache && s.cfg.CacheEntries >= 0 {
-		cs := s.cache[s.shardFor(key)]
-		cs.mu.Lock()
-		e, ok := cs.m[key]
-		if !ok {
-			e = &cacheEntry{done: make(chan struct{})}
-			cs.m[key] = e
-		}
-		cs.mu.Unlock()
-		if ok {
-			select {
-			case <-e.done:
-				if e.resp == nil {
-					// The execution this request would have joined was never
-					// enqueued (backpressure); fail the same way.
-					s.rejectFull.Add(1)
-					s.writeBackpressure(w, http.StatusTooManyRequests, "run queue full")
-					return
-				}
-				s.cacheHits.Add(1)
-				s.writeResponse(w, e.resp, true)
-			default:
-				s.dedupJoins.Add(1)
-				s.waitAndRespond(w, r, e.done, func() *Response { return e.resp })
-			}
+	var call *flight.Call[*Response]
+	if !nocache && s.cache != nil {
+		var st flight.Status
+		call, st = s.cache.Claim(key)
+		switch st {
+		case flight.Hit:
+			resp, _ := call.Result()
+			s.writeResponse(w, resp, true)
+			return
+		case flight.Joined:
+			s.waitAndRespond(w, r, call.Done(), call.Result)
 			return
 		}
-		s.cacheMiss.Add(1)
-		// The task shares the entry's done channel: the worker's close
-		// releases the submitter and every singleflight joiner at once.
-		t := &task{spec: spec, key: key, entry: e, done: e.done}
-		if !s.enqueue(w, t) {
-			// Unblock joiners with the backpressure outcome, then forget
-			// the cell so a later submit can try again.
-			cs.mu.Lock()
-			delete(cs.m, key)
-			cs.mu.Unlock()
-			close(e.done)
-			return
-		}
-		s.waitAndRespond(w, r, t.done, func() *Response { return t.resp })
-		return
 	}
 
-	t := &task{spec: spec, key: key, explain: explain, done: make(chan struct{})}
-	if !s.enqueue(w, t) {
+	t := &task{spec: spec, key: key, explain: explain, call: call, done: make(chan struct{})}
+	if err := s.enqueue(t); err != nil {
+		if call != nil {
+			s.cache.Finish(key, call, nil, err)
+		}
+		s.reject(w, err)
 		return
 	}
-	s.waitAndRespond(w, r, t.done, func() *Response { return t.resp })
+	s.waitAndRespond(w, r, t.done, func() (*Response, error) { return t.resp, nil })
 }
 
-// enqueue accepts a task onto the run queue, writing the 503/429
-// rejection itself when the server is draining or the admission bound is
+// enqueue accepts a task onto the run queue, or returns errDraining or
+// errQueueFull when the server is draining or the admission bound is
 // reached.
-func (s *Server) enqueue(w http.ResponseWriter, t *task) bool {
+func (s *Server) enqueue(t *task) error {
 	s.drainMu.RLock()
 	if s.draining {
 		s.drainMu.RUnlock()
-		s.rejectGone.Add(1)
-		s.writeBackpressure(w, http.StatusServiceUnavailable, "server draining")
-		return false
+		return errDraining
 	}
 	s.jobs.Add(1)
 	s.drainMu.RUnlock()
@@ -441,19 +371,30 @@ func (s *Server) enqueue(w http.ResponseWriter, t *task) bool {
 	if s.pending.Add(1) > int64(cap(s.runq)) {
 		s.pending.Add(-1)
 		s.jobs.Done()
-		s.rejectFull.Add(1)
-		s.writeBackpressure(w, http.StatusTooManyRequests, "run queue full")
-		return false
+		return errQueueFull
 	}
 	s.accepted.Add(1)
 	s.inFlight.Add(1)
 	s.runq <- t
-	return true
+	return nil
+}
+
+// reject counts and writes a backpressure refusal: 503 while draining,
+// 429 when the run queue is full.
+func (s *Server) reject(w http.ResponseWriter, err error) {
+	if errors.Is(err, errDraining) {
+		s.rejectGone.Add(1)
+		s.writeBackpressure(w, http.StatusServiceUnavailable, err.Error())
+		return
+	}
+	s.rejectFull.Add(1)
+	s.writeBackpressure(w, http.StatusTooManyRequests, err.Error())
 }
 
 // waitAndRespond blocks until the execution completes (or the client goes
-// away — the execution itself always finishes and publishes).
-func (s *Server) waitAndRespond(w http.ResponseWriter, r *http.Request, done <-chan struct{}, resp func() *Response) {
+// away — the execution itself always finishes and publishes), then writes
+// its response, or the refusal of an execution that was never enqueued.
+func (s *Server) waitAndRespond(w http.ResponseWriter, r *http.Request, done <-chan struct{}, result func() (*Response, error)) {
 	select {
 	case <-done:
 	case <-r.Context().Done():
@@ -461,10 +402,9 @@ func (s *Server) waitAndRespond(w http.ResponseWriter, r *http.Request, done <-c
 		// publishes. Nothing useful can be written.
 		return
 	}
-	rp := resp()
-	if rp == nil {
-		s.rejectFull.Add(1)
-		s.writeBackpressure(w, http.StatusTooManyRequests, "run queue full")
+	rp, err := result()
+	if err != nil {
+		s.reject(w, err)
 		return
 	}
 	s.writeResponse(w, rp, false)
@@ -498,7 +438,8 @@ type QueueStats struct {
 	Cap int `json:"cap"`
 }
 
-// CacheStats is the sharded result cache's /stats section.
+// CacheStats is the result cache's /stats section. Entries counts the
+// cells held, executions in flight included.
 type CacheStats struct {
 	Entries    int     `json:"entries"`
 	Hits       uint64  `json:"hits"`
@@ -509,8 +450,8 @@ type CacheStats struct {
 }
 
 // ProfileStats is the PGO profile cache's /stats section. The counters
-// come from the harness engine (the cache is engine-wide, shared with
-// in-process harness callers): a hit is a PGO job served from a cached or
+// come from the server's private harness Engine, so they count this
+// server's profiling alone: a hit is a PGO job served from a cached or
 // in-flight profile, a miss is one that paid a dynamic profiling run.
 type ProfileStats struct {
 	Hits   uint64 `json:"hits"`
@@ -559,7 +500,7 @@ func (s *Server) StatsSnapshot() Stats {
 		Queue: QueueStats{Len: int(s.pending.Load()), Cap: cap(s.runq)},
 		Pool:  s.exec.pool.stats(),
 	}
-	ec := harness.EngineCounters()
+	ec := s.exec.engine.Counters()
 	st.Profiles = ProfileStats{Hits: ec.ProfileHits, Misses: ec.ProfileMisses}
 	for _, w := range s.workers {
 		util := 0.0
@@ -572,24 +513,20 @@ func (s *Server) StatsSnapshot() Stats {
 			Utilization: util,
 		})
 	}
-	entries := 0
-	for _, cs := range s.cache {
-		cs.mu.Lock()
-		entries += len(cs.m)
-		cs.mu.Unlock()
-	}
-	hits, misses, joins := s.cacheHits.Load(), s.cacheMiss.Load(), s.dedupJoins.Load()
-	rate := 0.0
-	if hits+misses+joins > 0 {
-		rate = float64(hits) / float64(hits+misses+joins)
-	}
-	st.Cache = CacheStats{
-		Entries:    entries,
-		Hits:       hits,
-		Misses:     misses,
-		DedupJoins: joins,
-		Evictions:  s.evictions.Load(),
-		HitRate:    rate,
+	if s.cache != nil {
+		cs := s.cache.Stats()
+		rate := 0.0
+		if n := cs.Hits + cs.Misses + cs.Joins; n > 0 {
+			rate = float64(cs.Hits) / float64(n)
+		}
+		st.Cache = CacheStats{
+			Entries:    cs.Entries,
+			Hits:       cs.Hits,
+			Misses:     cs.Misses,
+			DedupJoins: cs.Joins,
+			Evictions:  cs.Evictions,
+			HitRate:    rate,
+		}
 	}
 	return st
 }

@@ -92,8 +92,7 @@ func TestRunBasic(t *testing.T) {
 		t.Fatalf("first response missing stats: %+v", first)
 	}
 
-	harness.ClearCache()
-	want, err := harness.Run(jb.Spec())
+	want, err := new(harness.Engine).Run(jb.Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestExplain(t *testing.T) {
 	if resp.Explain == "" {
 		t.Fatal("no decision trace in explain response")
 	}
-	want, err := harness.Explain(jb.Spec())
+	want, err := new(harness.Engine).Explain(jb.Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +251,7 @@ func TestFuzzJobs(t *testing.T) {
 // TestJobSpecRoundTrip pins that a Response's cell fields parse back into
 // a Job naming the same cell.
 func TestJobSpecRoundTrip(t *testing.T) {
-	e := &executor{pool: newVMPool(0)}
+	e := &executor{pool: newVMPool(0), engine: new(harness.Engine)}
 	for _, jb := range []Job{
 		{Workload: "db"},
 		{Workload: "euler", Size: "small", Machine: "AthlonMP", Mode: "inter", GC: "freelist", HW: "ipstride"},

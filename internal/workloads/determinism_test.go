@@ -46,21 +46,20 @@ func TestSerialMatchesRunAll(t *testing.T) {
 		specs = append(specs, harness.Spec{Workload: w.Name, Size: workloads.SizeSmall})
 	}
 
-	harness.ClearCache()
+	eng := new(harness.Engine)
 	serial := make([]struct {
 		checksum uint64
 		cycles   uint64
 	}, len(specs))
 	for i, s := range specs {
-		st, err := harness.Run(s)
+		st, err := eng.Run(s)
 		if err != nil {
 			t.Fatalf("%s: %v", s.String(), err)
 		}
 		serial[i].checksum, serial[i].cycles = st.Checksum, st.Cycles
 	}
 
-	harness.ClearCache()
-	results, err := harness.RunAll(specs)
+	results, err := new(harness.Engine).RunAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ package strider
 
 import (
 	"io"
+	"sync"
 
 	"strider/internal/arch"
 	"strider/internal/core/jit"
@@ -74,7 +75,13 @@ func HWModels() []string { return memsim.HWModels() }
 
 // SetHWModel installs a process-wide default hardware-prefetcher model
 // for specs that leave HW empty ("" restores each machine's own model).
-func SetHWModel(name string) error { return harness.SetHWModel(name) }
+func SetHWModel(name string) error {
+	if err := harness.CheckHW(name); err != nil {
+		return err
+	}
+	configure(func(e *harness.Engine) { e.HW = name })
+	return nil
+}
 
 // PredictSources returns the names of the prediction sources feeding
 // prefetch decisions (the Spec.Predict selectors): dynamic (the paper's
@@ -84,7 +91,13 @@ func PredictSources() []string { return jit.PredictSources() }
 
 // SetPredict installs a process-wide default prediction source for specs
 // that leave Predict empty ("" restores the dynamic default).
-func SetPredict(name string) error { return harness.SetPredict(name) }
+func SetPredict(name string) error {
+	if err := harness.CheckPredict(name); err != nil {
+		return err
+	}
+	configure(func(e *harness.Engine) { e.Predict = name })
+	return nil
+}
 
 // Workload is one benchmark analog (see internal/workloads).
 type Workload = workloads.Workload
@@ -103,7 +116,7 @@ type RunStats = vm.RunStats
 
 // Run executes one experiment spec (results are cached per process;
 // concurrent callers with the same spec share one underlying execution).
-func Run(s Spec) (RunStats, error) { return harness.Run(s) }
+func Run(s Spec) (RunStats, error) { return engine().Run(s) }
 
 // Result is the outcome of one cell of a batch run.
 type Result = harness.Result
@@ -114,19 +127,19 @@ type Grid = harness.Grid
 
 // RunAll executes a batch of specs across the worker pool and returns
 // results in order; the error is the first cell error, if any.
-func RunAll(specs []Spec) ([]Result, error) { return harness.RunAll(specs) }
+func RunAll(specs []Spec) ([]Result, error) { return engine().RunAll(specs) }
 
 // SetParallelism sets the default worker-pool size for batch runs
 // (n <= 0 restores the default, GOMAXPROCS).
-func SetParallelism(n int) { harness.SetParallelism(n) }
+func SetParallelism(n int) { configure(func(e *harness.Engine) { e.Parallel = n }) }
 
 // Parallelism returns the current default worker-pool size.
-func Parallelism() int { return harness.Parallelism() }
+func Parallelism() int { return engine().Parallelism() }
 
 // SetProgress directs per-cell progress and timing lines to w (nil, the
 // default, disables them). Table and figure output is unaffected, so
 // results stay byte-identical at every parallelism level.
-func SetProgress(w io.Writer) { harness.SetProgress(w) }
+func SetProgress(w io.Writer) { configure(func(e *harness.Engine) { e.Progress = w }) }
 
 // Recorder receives the stack's telemetry events: JIT compiles, loop
 // inspection verdicts, Sec. 3.3 filter decisions, per-site memory
@@ -146,11 +159,11 @@ func NewTrace() *Trace { return telemetry.NewTrace() }
 // calls (nil, the default, disables telemetry at zero cost). Cells served
 // from the result cache emit only their grid cell event — use Explain for
 // a complete single-run decision trace.
-func SetRecorder(r Recorder) { harness.SetRecorder(r) }
+func SetRecorder(r Recorder) { configure(func(e *harness.Engine) { e.Recorder = r }) }
 
 // Explain runs one spec on a private, uncached VM with tracing enabled
 // and returns the human-readable per-loop prefetch decision log.
-func Explain(s Spec) (string, error) { return harness.Explain(s) }
+func Explain(s Spec) (string, error) { return engine().Explain(s) }
 
 // VerifyReport is the outcome of one differential verification: the
 // reference fingerprint, one cell per (machine, prefetch mode)
@@ -172,7 +185,40 @@ func Verify(workload string, size Size, gc GCMode) (*VerifyReport, error) {
 // Speedups measures the INTER and INTER+INTRA speedups (percent) of a
 // workload over BASELINE on the named machine.
 func Speedups(workload, machine string, size Size) (inter, interIntra float64, err error) {
-	return harness.Speedups(workload, machine, size)
+	return engine().Speedups(workload, machine, size)
+}
+
+// The facade runs every cell on one harness Engine. An Engine's settings
+// are fixed once it runs, so each Set* call swaps in a new Engine with
+// the changed setting and the others carried over: runs already started
+// finish on the engine they began on, and the new one starts with empty
+// caches.
+var (
+	facadeMu sync.Mutex
+	facade   = new(harness.Engine)
+)
+
+// engine returns the facade's current Engine.
+func engine() *harness.Engine {
+	facadeMu.Lock()
+	defer facadeMu.Unlock()
+	return facade
+}
+
+// configure replaces the facade's Engine with one whose settings are the
+// current ones changed by set.
+func configure(set func(*harness.Engine)) {
+	facadeMu.Lock()
+	defer facadeMu.Unlock()
+	e := &harness.Engine{
+		HW:       facade.HW,
+		Predict:  facade.Predict,
+		Recorder: facade.Recorder,
+		Parallel: facade.Parallel,
+		Progress: facade.Progress,
+	}
+	set(e)
+	facade = e
 }
 
 // Program is an IR program; VM executes them. Exposed so examples can
