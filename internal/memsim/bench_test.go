@@ -46,3 +46,27 @@ func BenchmarkPrefetch(b *testing.B) {
 		m.Prefetch(0x10000+uint32(i%60)*64, false, uint64(i)*100)
 	}
 }
+
+// BenchmarkTLBMissPentium4 walks 128 pages, one load per page, so every
+// load misses the Pentium 4's fully associative 64-entry DTLB: each
+// access pays the TLB's victim choice and fill.
+func BenchmarkTLBMissPentium4(b *testing.B) {
+	m := New(arch.Pentium4())
+	var now uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += m.Load(uint32(i%128)<<12|uint32(i%32)<<7, 4, now)
+	}
+}
+
+// BenchmarkL2FillAthlonMP cycles 32 lines that all map to one set of the
+// Athlon MP's 16-way L2 (16 KB apart), so every load misses the L1 and the
+// L2 and fills both, while the DTLB keeps hitting.
+func BenchmarkL2FillAthlonMP(b *testing.B) {
+	m := New(arch.AthlonMP())
+	var now uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += m.Load(uint32(i%32)<<14, 4, now)
+	}
+}

@@ -7,9 +7,9 @@
 // nodes; one probe costs ~55, and a single nested call would add ~57), so
 // a type-specialized engine pays a few loads and compares instead of an
 // interface dispatch plus the full access path. Accesses the probe bails
-// on — a different line (even an L1 MRU-hint hit), a line still in
-// flight, a TLB memo miss — take the full LoadAt/Store, devirtualized to
-// a direct call by the same type specialization.
+// on — a different line (even one that hits the L1 after a set scan), a
+// line still in flight, a TLB memo miss — take the full LoadAt/Store,
+// devirtualized to a direct call by the same type specialization.
 //
 // # Equivalence argument
 //
@@ -18,10 +18,12 @@
 // decided:
 //
 //   - The presence checks are the caches' memo comparisons, and memo hits
-//     are precisely the lookups that commit no state (no useTick advance,
-//     no lastUse write, no mru write — see the memo elision argument in
-//     memsim.go). A completed probe therefore performs the identical
-//     (empty) LRU transition the full path would have performed.
+//     are precisely the lookups that commit no state (the memo line is
+//     already the head of its set's recency list — see the memo argument
+//     in memsim.go). A completed probe therefore performs the identical
+//     (empty) LRU transition the full path would have performed. An empty
+//     memo holds invalidTag, which no address matches, so the probes need
+//     no separate emptiness check.
 //   - A bail touches neither counters nor LRU state, so the caller's
 //     fallback LoadAt/Store runs against the exact state a direct call
 //     would have seen.
@@ -52,13 +54,9 @@ package memsim
 // parameter because completed hits never train the hardware prefetcher
 // (see the package comment's audit); the fallback call carries it.
 func (mem *Memory) LoadHit(addr uint32, now uint64) (uint64, bool) {
-	t := mem.tlb
-	if t.memoLine == nil || t.memoTag != uint64(addr)>>t.lineShift {
-		return 0, false
-	}
-	c := mem.l1
-	l := c.memoLine
-	if l == nil || c.memoTag != uint64(addr)>>c.lineShift || l.readyAt > now {
+	t, c := mem.tlb, mem.l1
+	if t.memoTag != uint64(addr)>>t.lineShift ||
+		c.memoTag != uint64(addr)>>c.lineShift || c.memoReady > now {
 		return 0, false
 	}
 	mem.C.Loads++
@@ -71,13 +69,9 @@ func (mem *Memory) LoadHit(addr uint32, now uint64) (uint64, bool) {
 // arrived L1 line stalls zero cycles (extraWait/StoreFactor of nothing),
 // so only Stores advances.
 func (mem *Memory) StoreHit(addr uint32, now uint64) (uint64, bool) {
-	t := mem.tlb
-	if t.memoLine == nil || t.memoTag != uint64(addr)>>t.lineShift {
-		return 0, false
-	}
-	c := mem.l1
-	l := c.memoLine
-	if l == nil || c.memoTag != uint64(addr)>>c.lineShift || l.readyAt > now {
+	t, c := mem.tlb, mem.l1
+	if t.memoTag != uint64(addr)>>t.lineShift ||
+		c.memoTag != uint64(addr)>>c.lineShift || c.memoReady > now {
 		return 0, false
 	}
 	mem.C.Stores++
