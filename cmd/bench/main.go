@@ -18,7 +18,8 @@
 // Diff mode compares a new report against a baseline: ns/op growth beyond
 // -threshold percent (default 10) on any pinned entry, any allocs/op
 // growth (unless -allow-alloc-growth), or a missing entry fails with exit
-// code 1. Usage errors exit 2.
+// code 1. B/op is shown as an informational bytes/op row and never fails
+// the gate. Usage errors exit 2.
 package main
 
 import (

@@ -175,6 +175,33 @@ func TestDiffAllocGrowthGatedAtZero(t *testing.T) {
 	}
 }
 
+// TestDiffBytesInformational pins that bytes/op appears in the diff in
+// both directions and never fails the gate.
+func TestDiffBytesInformational(t *testing.T) {
+	base := report("vm/x", 1000, 10)
+	base.Entries[0].BytesPerOp = 1 << 20
+	for _, bytes := range []float64{4 << 20, 1 << 19} {
+		cur := report("vm/x", 1000, 10)
+		cur.Entries[0].BytesPerOp = bytes
+		fs := Diff(base, cur, DiffOptions{})
+		if regs := Regressions(fs); len(regs) != 0 {
+			t.Errorf("bytes/op %v gated: %v", bytes, regs)
+		}
+		var row *Finding
+		for i := range fs {
+			if fs[i].Metric == "bytes/op" {
+				row = &fs[i]
+			}
+		}
+		if row == nil || row.Old != 1<<20 || row.New != bytes {
+			t.Fatalf("bytes/op row missing or wrong: %+v", row)
+		}
+		if !strings.Contains(FormatDiff(fs), "bytes/op") {
+			t.Errorf("formatted diff lacks the bytes/op row:\n%s", FormatDiff(fs))
+		}
+	}
+}
+
 func TestDiffMissingAndNewEntries(t *testing.T) {
 	base := &Report{Schema: Schema, Entries: []Measurement{
 		{Name: "vm/x", NsPerOp: 1000},

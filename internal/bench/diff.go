@@ -8,7 +8,7 @@ import (
 // Finding is one entry-level comparison outcome of Diff.
 type Finding struct {
 	Name   string  `json:"name"`
-	Metric string  `json:"metric"` // "ns/op", "allocs/op", or "presence"
+	Metric string  `json:"metric"` // "ns/op", "allocs/op", "bytes/op", or "presence"
 	Old    float64 `json:"old"`
 	New    float64 `json:"new"`
 	// DeltaPct is the relative change in percent (positive = worse).
@@ -82,6 +82,14 @@ func Diff(base, cur *Report, opts DiffOptions) []Finding {
 			Regression: !opts.AllowAllocGrowth &&
 				c.AllocsPerOp > b.AllocsPerOp+allocSlack(b.AllocsPerOp),
 		})
+		// Bytes/op shows footprint changes in the report; it is never
+		// gated (allocs/op already catches a new allocation in the loop).
+		if b.BytesPerOp > 0 {
+			out = append(out, Finding{
+				Name: b.Name, Metric: "bytes/op", Old: b.BytesPerOp, New: c.BytesPerOp,
+				DeltaPct: 100 * (c.BytesPerOp - b.BytesPerOp) / b.BytesPerOp,
+			})
+		}
 	}
 	for _, c := range cur.Entries {
 		if _, stillNew := curBy[c.Name]; stillNew {

@@ -663,6 +663,9 @@ func (c *Func) Step(e *interp.Engine, f *interp.Frame) (value.Value, bool, error
 			npc := d.fn(t, u, d)
 			cycles, instrs = t.cycles, t.instrs
 			if npc == ctrlCall {
+				// The push may have grown and moved the frame stack, so f
+				// and t.f are stale: re-point at the callee, or yield to
+				// Run, which re-fetches its top frame.
 				nf := e.TopFrame()
 				if nfc, ok := nf.Threaded().(*Func); ok {
 					// Compiled callee: keep executing in this loop.
@@ -1013,7 +1016,8 @@ func opCallVirt(t *thread, u *uop, d *uopCold) int {
 // advances the frame past the call, and pushes the callee, yielding to
 // the engine's Run loop. A failed push (stack overflow) traps with the
 // call already charged and f.PC already advanced — the interpreter's
-// exact attribution.
+// exact attribution. f.PC is written before the push because a push can
+// move the frame stack; t.f is stale after one until Step re-points it.
 func callTo(t *thread, u *uop, d *uopCold, callee *ir.Method) int {
 	t.cycles += t.perInstr + 4 // call overhead
 	t.instrs++

@@ -430,6 +430,82 @@ func TestStackOverflow(t *testing.T) {
 	}
 }
 
+// TestDeepRecursionGrowsStack recurses far past the frame stack's initial
+// capacity, so pushes grow and move it mid-run, and collects at the
+// deepest call, so the collector's roots walk the grown stack. Each frame
+// keeps a live node in a register and reads it back after its callee
+// returns: a frame lost in growth, or a register root the collector did
+// not forward, changes the sum or traps.
+func TestDeepRecursionGrowsStack(t *testing.T) {
+	const depth = 200
+	build := func() *ir.Program {
+		u := classfile.NewUniverse()
+		node := u.MustDefineClass("Node", nil,
+			classfile.FieldSpec{Name: "val", Kind: value.KindInt},
+			classfile.FieldSpec{Name: "next", Kind: value.KindRef},
+		)
+		fVal, fNext := node.FieldByName("val"), node.FieldByName("next")
+		p := ir.NewProgram(u)
+		// rec(n, link) allocates a node {n, link}; above the bottom it
+		// returns rec(n-1, node) + node.val.
+		b := ir.NewBuilder(p, nil, "rec", value.KindInt, value.KindInt, value.KindRef)
+		n, link := b.Param(0), b.Param(1)
+		obj := b.New(node)
+		b.PutField(obj, fVal, n)
+		b.PutField(obj, fNext, link)
+		bottom := b.NewLabel()
+		b.BrIntZero(ir.CondEQ, n, bottom)
+		n1 := b.AddInt(n, b.ConstInt(-1))
+		r := b.Call(b.Self(), n1, obj)
+		sum := b.AddInt(r, b.GetField(obj, fVal))
+		b.Sink(sum)
+		b.Return(sum)
+
+		// The bottom churns through more than the 1 MiB heap, forcing a
+		// collection with every frame live, then sums the whole chain.
+		b.Bind(bottom)
+		i, lim, sz := b.ConstInt(0), b.ConstInt(2000), b.ConstInt(256)
+		churn, churned := b.NewLabel(), b.NewLabel()
+		b.Bind(churn)
+		b.Br(value.KindInt, ir.CondGE, i, lim, churned)
+		b.NewArray(value.KindInt, sz)
+		b.IncInt(i, 1)
+		b.Goto(churn)
+		b.Bind(churned)
+		acc, cur, null := b.ConstInt(0), b.NewReg(), b.ConstNull()
+		b.MoveTo(cur, obj)
+		walk, walked := b.NewLabel(), b.NewLabel()
+		b.Bind(walk)
+		b.Br(value.KindRef, ir.CondEQ, cur, null, walked)
+		b.ArithTo(acc, ir.OpAdd, value.KindInt, acc, b.GetField(cur, fVal))
+		b.GetFieldTo(cur, cur, fNext)
+		b.Goto(walk)
+		b.Bind(walked)
+		b.Return(acc)
+		p.Entry = b.Finish()
+		return p
+	}
+	args := []value.Value{value.Int(depth), value.Null}
+	s, err := runBoth(t, build, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.GCs == 0 {
+		t.Fatal("no collection ran at the deepest call")
+	}
+	// runBoth pinned the two tiers' results equal; pin the value. The
+	// bottom's chain walk and the returns up the stack each add
+	// depth + ... + 1 + 0.
+	p := build()
+	got, err := newEngine(p, newThreadedDisp(p.Universe, nil)).Run(p.Entry, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int32(depth * (depth + 1)); got.Int() != want {
+		t.Fatalf("result %d, want %d", got.Int(), want)
+	}
+}
+
 // --- allocation pressure: GC interleaving and heap exhaustion ---
 
 func TestAllocationChurn(t *testing.T) {

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"strider/internal/harness"
 )
 
 // LoadOptions configures a load run against a running strider service.
@@ -193,9 +195,10 @@ func RunLoad(opts LoadOptions) (LoadStats, error) {
 
 // SerialBaseline executes each distinct job serially in-process on fresh
 // VMs — no cache, no pool — and returns the cell-key → checksum map that
-// RunLoad's Verify option compares service responses against.
+// RunLoad's Verify option compares service responses against. It owns a
+// private harness Engine, which PGO jobs build their profiles through.
 func SerialBaseline(jobs []Job) (map[string]string, error) {
-	e := &executor{pool: newVMPool(0)}
+	e := &executor{pool: newVMPool(0), engine: new(harness.Engine)}
 	want := make(map[string]string)
 	for _, jb := range jobs {
 		spec := jb.Spec().Canonical()

@@ -161,3 +161,27 @@ func TestPGOHammerMatchesDynamic(t *testing.T) {
 		t.Errorf("accepted %d != completed %d", st.Accepted, st.Completed)
 	}
 }
+
+// TestSerialBaselinePGO pins that the serial baseline can verify PGO
+// jobs: it builds the profile through its own Engine and reproduces the
+// checksum the service answers with.
+func TestSerialBaselinePGO(t *testing.T) {
+	jb := Job{Workload: "fuzz:0x3", Predict: "pgo"}
+	want, err := SerialBaseline([]Job{jb})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv := New(Config{Shards: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	code, resp := postJob(t, ts, "/run", jb)
+	if code != 200 {
+		t.Fatalf("served %+v: status %d, %+v", jb, code, resp)
+	}
+	key := jb.Spec().Canonical().Key()
+	if got, ok := want[key]; !ok || got != resp.Checksum || got == "" {
+		t.Fatalf("baseline checksum %q (present %v), served %q", got, ok, resp.Checksum)
+	}
+}

@@ -251,15 +251,17 @@ func (s *Server) execute(w *worker, t *task) {
 	wall := time.Since(start)
 	resp.WallNs = wall.Nanoseconds()
 	t.resp = resp
-	if t.call != nil {
-		s.cache.Finish(t.key, t.call, resp, nil)
-	}
-	close(t.done)
+	// Count the job complete before publishing it, so a client that has
+	// its response never sees it still in flight in /stats.
 	if resp.Trap != "" || resp.Err != "" {
 		s.traps.Add(1)
 	}
 	s.completed.Add(1)
 	s.inFlight.Add(-1)
+	if t.call != nil {
+		s.cache.Finish(t.key, t.call, resp, nil)
+	}
+	close(t.done)
 	if rec := s.cfg.Recorder; rec != nil {
 		ev := telemetry.CellEvent{Cell: t.spec.String(), Wall: wall}
 		if resp.Err != "" {
