@@ -72,7 +72,7 @@ func TestGoldenDecisionTraces(t *testing.T) {
 				}
 				s := spec.Canonical()
 				tr := telemetry.NewTrace()
-				v, err := engine().NewVM(s, tr)
+				v, err := defaultEngine.NewVM(s, tr)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -61,17 +61,35 @@ func newEngine(p *ir.Program, disp interp.Dispatcher) *interp.Engine {
 	return interp.New(p, heap.New(1<<20, p.Universe), memsim.New(machine), disp, machine)
 }
 
+// newLaneEngine is newEngine with slow choosing the memory lane. A slow
+// engine's simulator is hidden behind the MemModel interface: SetMem pins
+// only a bare *memsim.Memory, so every access takes the interface path
+// instead of the inline hit lane.
+func newLaneEngine(p *ir.Program, disp interp.Dispatcher, slow bool) *interp.Engine {
+	e := newEngine(p, disp)
+	if slow {
+		e.SetMem(struct{ interp.MemModel }{e.Mem})
+	}
+	return e
+}
+
 // runBoth executes a freshly built program under both execution tiers and
 // fails the test on any divergence in result, trap, or accounting. It
 // returns the (identical) stats and error for extra assertions.
 func runBoth(t *testing.T, build func() *ir.Program, args []value.Value) (interp.Stats, error) {
 	t.Helper()
+	return runBothLane(t, build, args, false)
+}
+
+// runBothLane is runBoth on the memory lane slow selects.
+func runBothLane(t *testing.T, build func() *ir.Program, args []value.Value, slow bool) (interp.Stats, error) {
+	t.Helper()
 	pi := build()
-	ei := newEngine(pi, interpDisp{})
+	ei := newLaneEngine(pi, interpDisp{}, slow)
 	ri, erri := ei.Run(pi.Entry, args)
 
 	pc := build()
-	ec := newEngine(pc, newThreadedDisp(pc.Universe, nil))
+	ec := newLaneEngine(pc, newThreadedDisp(pc.Universe, nil), slow)
 	rc, errc := ec.Run(pc.Entry, args)
 
 	if ri != rc {

@@ -97,21 +97,18 @@ func TestHeapTrapParity(t *testing.T) {
 	// Every fault shape runs under both memory lanes: traps interleave
 	// with memory accesses (a putfield trap follows the object's header
 	// loads), so attribution must not depend on which lane served them.
-	run := func(t *testing.T) {
+	run := func(t *testing.T, slow bool) {
 		for _, fault := range faults {
 			t.Run(fault, func(t *testing.T) {
-				_, err := runBoth(t, trapProg(fault), nil)
+				_, err := runBothLane(t, trapProg(fault), nil, slow)
 				if err == nil {
 					t.Fatalf("%s did not trap", fault)
 				}
 			})
 		}
 	}
-	t.Run("fastlane", run)
-	t.Run("slowlane", func(t *testing.T) {
-		t.Setenv("STRIDER_NO_FASTLANE", "1")
-		run(t)
-	})
+	t.Run("fastlane", func(t *testing.T) { run(t, false) })
+	t.Run("slowlane", func(t *testing.T) { run(t, true) })
 }
 
 func TestBoundsMessageCarriesIndexAndLength(t *testing.T) {
@@ -188,26 +185,26 @@ func TestBudgetTrapSweep(t *testing.T) {
 
 	// The sweep runs once per memory lane: the default fast lane (the
 	// engines pin *memsim.Memory and take the inline L1 hit probes) and,
-	// with STRIDER_NO_FASTLANE set, the pure MemModel interface path.
-	// Interp and compiled must agree at every budget within each lane,
-	// and the per-budget stats recorded by the two sweeps must match
+	// with the simulator hidden behind the interface (newLaneEngine), the
+	// pure MemModel interface path. Interp and compiled must agree at every budget within each
+	// lane, and the per-budget stats recorded by the two sweeps must match
 	// across lanes — lane choice is a wiring-time optimisation and must
 	// never be observable, least of all mid-trap.
-	sweep := func(t *testing.T, wantFast bool) []interp.Stats {
+	sweep := func(t *testing.T, slow bool) []interp.Stats {
 		stats := make([]interp.Stats, 0, full+1)
 		for budget := uint64(1); budget <= full+1; budget++ {
 			pi := build()
-			ei := newEngine(pi, interpDisp{})
+			ei := newLaneEngine(pi, interpDisp{}, slow)
 			ei.MaxInstructions = budget
 			ri, erri := ei.Run(pi.Entry, nil)
 
 			pc := build()
-			ec := newEngine(pc, newThreadedDisp(pc.Universe, nil))
+			ec := newLaneEngine(pc, newThreadedDisp(pc.Universe, nil), slow)
 			ec.MaxInstructions = budget
 			rc, errc := ec.Run(pc.Entry, nil)
 
-			if got := ec.FastMem() != nil; got != wantFast {
-				t.Fatalf("budget %d: fast lane pinned = %v, want %v", budget, got, wantFast)
+			if got := ec.FastMem() != nil; got == slow {
+				t.Fatalf("budget %d: fast lane pinned = %v with slow = %v", budget, got, slow)
 			}
 			if ri != rc {
 				t.Errorf("budget %d: result diverged: %v vs %v", budget, ri, rc)
@@ -225,11 +222,8 @@ func TestBudgetTrapSweep(t *testing.T) {
 		return stats
 	}
 	var fast, slow []interp.Stats
-	t.Run("fastlane", func(t *testing.T) { fast = sweep(t, true) })
-	t.Run("slowlane", func(t *testing.T) {
-		t.Setenv("STRIDER_NO_FASTLANE", "1")
-		slow = sweep(t, false)
-	})
+	t.Run("fastlane", func(t *testing.T) { fast = sweep(t, false) })
+	t.Run("slowlane", func(t *testing.T) { slow = sweep(t, true) })
 	if t.Failed() {
 		return
 	}

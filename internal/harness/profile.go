@@ -14,20 +14,19 @@ import (
 func (e *Engine) ProfileFor(s Spec) (*static.Profile, error) {
 	sd := e.canonical(s)
 	sd.Predict = "dynamic"
-	k := sd.key()
-	p, _, err := e.profiles.Do(k, func() (*static.Profile, error) { return e.buildProfile(sd, k) })
+	p, _, err := e.profiles.Do(sd.key(), func() (*static.Profile, error) { return e.buildProfile(sd) })
 	return p, err
 }
 
 // buildProfile executes the cell dynamically once — warmup plus measured
 // run, the same shape as a normal execution, so every method crosses the
 // compile threshold — with profile recording enabled.
-func (e *Engine) buildProfile(sd Spec, cell string) (*static.Profile, error) {
+func (e *Engine) buildProfile(sd Spec) (*static.Profile, error) {
 	v, err := e.NewVM(sd, nil)
 	if err != nil {
 		return nil, err
 	}
-	p := static.NewProfile(cell)
+	p := static.NewProfile()
 	v.JITOpts.RecordProfile = p
 	if _, err := v.Measure(nil, sd.Warmups); err != nil {
 		return nil, fmt.Errorf("harness: pgo profiling %s/%s/%s: %w",

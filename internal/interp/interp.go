@@ -16,7 +16,6 @@ package interp
 import (
 	"errors"
 	"fmt"
-	"os"
 
 	"sort"
 
@@ -176,8 +175,9 @@ type Engine struct {
 	// memsim.LoadHit/StoreHit inline, fall into the full access as a
 	// direct — not interface — call. nil routes every access through the
 	// MemModel interface: any other model (oracle taps, test doubles, flat
-	// memory), or the STRIDER_NO_FASTLANE escape hatch. Derived by SetMem; the lane choice
-	// is made once at wiring, never per access.
+	// memory, or a wrapper that hides a *memsim.Memory behind the
+	// interface). Derived by SetMem; the lane choice is made once at
+	// wiring, never per access.
 	fastMem *memsim.Memory
 
 	// frames is the activation stack. It starts at initialFrames and push
@@ -220,27 +220,19 @@ func New(prog *ir.Program, h *heap.Heap, mem MemModel, disp Dispatcher, m *arch.
 // SetMem installs the memory model and re-derives the fast-lane pinning.
 // Every reassignment of the engine's memory model must go through here —
 // writing the Mem field directly would leave a previously pinned backend
-// receiving the hot-path accesses behind the new model's back.
+// receiving the hot-path accesses behind the new model's back. Only a
+// bare *memsim.Memory is pinned; wrapping one, as in
+// SetMem(struct{ MemModel }{mem}), keeps the same simulator on the
+// interface path.
 func (e *Engine) SetMem(m MemModel) {
 	e.Mem = m
-	e.fastMem = nil
-	if fm, ok := m.(*memsim.Memory); ok && !fastLaneDisabled() {
-		e.fastMem = fm
-	}
+	e.fastMem, _ = m.(*memsim.Memory)
 }
 
 // FastMem returns the pinned concrete memory simulator, or nil when
 // accesses must take the MemModel interface path. The compiled tier
 // routes its memory micro-ops through it exactly like step does.
 func (e *Engine) FastMem() *memsim.Memory { return e.fastMem }
-
-// fastLaneDisabled reports the STRIDER_NO_FASTLANE escape hatch: any
-// non-empty value forces every access through the fully general interface
-// path. Read at SetMem time — once per engine wiring — so tests can flip
-// it with t.Setenv and CI can prove lane choice is unobservable by
-// diffing a forced-slow full experiments pass against the committed
-// outputs.
-func fastLaneDisabled() bool { return os.Getenv("STRIDER_NO_FASTLANE") != "" }
 
 // ResetStats clears the per-run statistics and the site attribution.
 func (e *Engine) ResetStats() {

@@ -208,48 +208,39 @@ func Verify(build func() *ir.Program, opts Options) (*Report, error) {
 	return r, nil
 }
 
-// loadTap wraps the cell's memory model and digests the demand-load
+// loadTap wraps the cell's memory simulator and digests the demand-load
 // address stream exactly as the oracle does. Prefetches pass through
 // untapped: they must be architecturally invisible.
 //
 // Installing the tap (via SetMem) unpins the engine's devirtualized fast
 // lane — the engine must dispatch through the tap so no load escapes the
 // digest. To keep the 60-cell matrix exercising the hit-lane probes
-// anyway, the tap carries the pinning the engine gave up: after recording,
-// it routes the access through LoadHit/StoreHit with the full call as
-// fallback, exactly like a specialized engine site. fast is nil when the
-// engine itself had none (foreign model, ineligible configuration, or
-// STRIDER_NO_FASTLANE), which is how the differ proves cells pass with
-// the lane on and off.
+// anyway, the tap routes each access through LoadHit/StoreHit with the
+// full call as fallback, exactly like a specialized engine site, so every
+// cell checks the probes against the reference's fingerprint while
+// memsim's self-check and invariants run.
 type loadTap struct {
-	inner interp.MemModel
-	fast  *memsim.Memory
+	mem   *memsim.Memory
 	loads loadAccum
 }
 
 func (t *loadTap) LoadAt(addr, size uint32, now uint64, pc uint64) uint64 {
 	t.loads.record(addr, size)
-	if fm := t.fast; fm != nil {
-		if stall, hit := fm.LoadHit(addr, now); hit {
-			return stall
-		}
-		return fm.LoadAt(addr, size, now, pc)
+	if stall, hit := t.mem.LoadHit(addr, now); hit {
+		return stall
 	}
-	return t.inner.LoadAt(addr, size, now, pc)
+	return t.mem.LoadAt(addr, size, now, pc)
 }
 
 func (t *loadTap) Store(addr, size uint32, now uint64) uint64 {
-	if fm := t.fast; fm != nil {
-		if stall, hit := fm.StoreHit(addr, now); hit {
-			return stall
-		}
-		return fm.Store(addr, size, now)
+	if stall, hit := t.mem.StoreHit(addr, now); hit {
+		return stall
 	}
-	return t.inner.Store(addr, size, now)
+	return t.mem.Store(addr, size, now)
 }
 
 func (t *loadTap) Prefetch(addr uint32, guarded bool, now uint64) telemetry.PrefetchOutcome {
-	return t.inner.Prefetch(addr, guarded, now)
+	return t.mem.Prefetch(addr, guarded, now)
 }
 
 // runCell executes one configuration: a warmup run (during which the JIT
@@ -275,9 +266,7 @@ func runCell(build func() *ir.Program, c Configuration, heapBytes uint32, gc hea
 		Machine: &m, Mode: c.Mode, HeapBytes: heapBytes, GC: gc, JIT: &jo,
 	})
 	v.Mem.EnableSelfCheck()
-	// Inherit the engine's fast-lane pinning (nil under the escape hatch or
-	// an ineligible configuration) before SetMem re-derives it away.
-	tap := &loadTap{inner: v.Engine.Mem, fast: v.Engine.FastMem()}
+	tap := &loadTap{mem: v.Mem}
 	v.Engine.SetMem(tap)
 
 	stats, err := v.Run(nil)
@@ -314,7 +303,7 @@ func recordProfile(build func() *ir.Program, c Configuration, heapBytes uint32, 
 	m.HWPrefetcher = c.HW
 	jo := jit.DefaultOptions(&m, c.Mode)
 	jo.Inspect.Interprocedural = c.Interprocedural
-	jo.RecordProfile = static.NewProfile(c.Label())
+	jo.RecordProfile = static.NewProfile()
 	v := vm.New(prog, vm.Config{
 		Machine: &m, Mode: c.Mode, HeapBytes: heapBytes, GC: gc, JIT: &jo,
 	})

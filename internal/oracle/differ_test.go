@@ -23,12 +23,15 @@ import (
 // effect of prefetching — software or hardware, dynamically inspected or
 // statically mispredicted — anywhere in the stack fails here. Every cell
 // runs its JIT-compiled methods on the threaded tier, so any divergence
-// of that tier from the reference interpreter fails here too.
+// of that tier from the reference interpreter fails here too. The
+// workload subtests run in parallel: each Verify builds its own programs,
+// heaps and simulators.
 func TestVerifyAllWorkloads(t *testing.T) {
 	wantCells := 4*len(memsim.HWModels())*2 + 3*2*2 // hw matrix + predict matrix
 	for _, w := range workloads.All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
 			build := func() *ir.Program { return w.Build(workloads.SizeSmall) }
 			rep, err := Verify(build, Options{HeapBytes: w.HeapBytes})
 			if err != nil {

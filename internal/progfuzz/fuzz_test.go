@@ -19,12 +19,12 @@ import (
 // scenario plus composed shapes, so plain `go test` already runs the
 // whole matrix; `go test -fuzz=FuzzDifferential` explores further seeds.
 //
-// Each seed verifies twice: once on the default memory fast lane (engines
-// pin *memsim.Memory and take the inline L1 hit probes) and once with
-// STRIDER_NO_FASTLANE forcing the pure MemModel interface path. Both runs
-// must pass, and every cell's fingerprint must be bit-identical across
-// the two — the lane is a wiring-time optimisation the whole
-// software×hardware matrix must be unable to observe.
+// Each seed verifies once. Every fingerprint field is architectural and
+// no architectural decision reads simulated cycles, so the memory hit
+// lane cannot move a fingerprint; the differ's load tap still drives the
+// lane's inline probes in every cell, under memsim's self-check and
+// invariants. That the lane leaves cycles and memory counters unchanged
+// too is internal/vm's TestHitLaneUnobservable.
 func FuzzDifferential(f *testing.F) {
 	for seed := uint64(0); seed < NumScenarios; seed++ {
 		f.Add(seed)
@@ -43,25 +43,6 @@ func FuzzDifferential(f *testing.F) {
 		if rep.Reference.Trap != oracle.TrapNone {
 			t.Fatalf("%s: generated program trapped (%s); generator must be trap-free",
 				Describe(seed), rep.Reference.Trap)
-		}
-
-		t.Setenv("STRIDER_NO_FASTLANE", "1")
-		slow, err := oracle.Verify(build, oracle.Options{HeapBytes: 8 << 20})
-		if err != nil {
-			t.Fatalf("%s (slow lane): %v", Describe(seed), err)
-		}
-		if !slow.OK() {
-			t.Fatalf("%s (slow lane):\n%s", Describe(seed), slow.Summary())
-		}
-		if len(slow.Cells) != len(rep.Cells) {
-			t.Fatalf("%s: %d cells fast vs %d slow", Describe(seed), len(rep.Cells), len(slow.Cells))
-		}
-		for i := range rep.Cells {
-			if rep.Cells[i].Fingerprint != slow.Cells[i].Fingerprint {
-				t.Errorf("%s: cell %s fingerprint diverged across lanes:\n fast %+v\n slow %+v",
-					Describe(seed), rep.Cells[i].Config,
-					rep.Cells[i].Fingerprint, slow.Cells[i].Fingerprint)
-			}
 		}
 	})
 }

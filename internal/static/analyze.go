@@ -10,9 +10,10 @@
 // layouts, lists traversed against allocation order — is exactly what the
 // experiments' prediction-source table measures.
 //
-// The package also holds the PGO profile store (profile.go): a versioned
-// serialization of one run's dynamic inspection results, so later runs
-// replay the recorded annotations and skip re-inspection entirely.
+// The package also holds the PGO profile store (profile.go): one run's
+// dynamic inspection results, kept in memory so later compilations of
+// the same cell replay the recorded annotations and skip re-inspection
+// entirely.
 package static
 
 import (

@@ -1,15 +1,6 @@
 package static
 
 import (
-	"bufio"
-	"encoding/json"
-	"errors"
-	"fmt"
-	"hash/fnv"
-	"io"
-	"sort"
-	"strings"
-
 	"strider/internal/core/ldg"
 	"strider/internal/telemetry"
 )
@@ -17,53 +8,37 @@ import (
 // PGOSource is the telemetry marker stamped on profile-replayed events.
 const PGOSource = "pgo"
 
-// Version is the profile format version. Load rejects any other.
-const Version = 1
-
-// Typed load failures: each is an exit-2-class configuration error for
-// the CLI layers, and every one of them means "fall back to dynamic".
-var (
-	// ErrCorrupt reports a profile whose framing, checksum, or payload
-	// does not parse.
-	ErrCorrupt = errors.New("static: corrupt profile")
-	// ErrVersion reports a profile written by a different format version.
-	ErrVersion = errors.New("static: profile version mismatch")
-	// ErrStale reports a profile recorded for a different cell than the
-	// one trying to consume it.
-	ErrStale = errors.New("static: stale profile")
-)
-
 // NodeRecord is one LDG node's recorded inter-iteration annotation. Inter
 // is the dominant stride of the inspected trace whether or not it
 // qualified (HasInter carries the verdict), so a replay reproduces the
 // rejected candidates' diagnostics too.
 type NodeRecord struct {
-	Instr    int     `json:"instr"`
-	HasInter bool    `json:"has,omitempty"`
-	Inter    int64   `json:"inter,omitempty"`
-	Ratio    float64 `json:"ratio,omitempty"`
-	Samples  int     `json:"samples,omitempty"`
+	Instr    int
+	HasInter bool
+	Inter    int64
+	Ratio    float64
+	Samples  int
 }
 
 // EdgeRecord is one LDG edge's recorded intra-iteration annotation.
 type EdgeRecord struct {
-	From     int     `json:"from"`
-	To       int     `json:"to"`
-	HasIntra bool    `json:"has,omitempty"`
-	Intra    int64   `json:"intra,omitempty"`
-	Ratio    float64 `json:"ratio,omitempty"`
-	Samples  int     `json:"samples,omitempty"`
+	From     int
+	To       int
+	HasIntra bool
+	Intra    int64
+	Ratio    float64
+	Samples  int
 }
 
 // LoopProfile is one loop's recorded inspection outcome: the verdict, the
 // observed trip behaviour, and (for accepted loops) the full stride
 // annotations of its load dependence graph.
 type LoopProfile struct {
-	Verdict     telemetry.Reason `json:"verdict"`
-	Trips       int              `json:"trips,omitempty"`
-	NaturalExit bool             `json:"natural_exit,omitempty"`
-	Nodes       []NodeRecord     `json:"nodes,omitempty"`
-	Edges       []EdgeRecord     `json:"edges,omitempty"`
+	Verdict     telemetry.Reason
+	Trips       int
+	NaturalExit bool
+	Nodes       []NodeRecord
+	Edges       []EdgeRecord
 }
 
 // Profile is the PGO store: one dynamic run's per-loop inspection results,
@@ -71,17 +46,12 @@ type LoopProfile struct {
 // written by a single profiling run and read-only afterwards, so any
 // number of PGO compilations may share it concurrently.
 type Profile struct {
-	// Cell is the canonical cell key of the run that produced the profile
-	// (the staleness guard: LoadFor rejects a profile recorded under a
-	// different cell).
-	Cell string
-
 	methods map[string]map[int]*LoopProfile
 }
 
-// NewProfile returns an empty profile for the named cell.
-func NewProfile(cell string) *Profile {
-	return &Profile{Cell: cell, methods: map[string]map[int]*LoopProfile{}}
+// NewProfile returns an empty profile.
+func NewProfile() *Profile {
+	return &Profile{methods: map[string]map[int]*LoopProfile{}}
 }
 
 // Record stores one loop's outcome (last write wins; each loop is
@@ -209,122 +179,4 @@ func Apply(lg *ldg.Graph, lp *LoopProfile, rec telemetry.Recorder) bool {
 		}
 	}
 	return true
-}
-
-// profileJSON is the deterministic serialization shape: maps flattened to
-// sorted slices so identical profiles marshal to identical bytes.
-type profileJSON struct {
-	Cell    string       `json:"cell"`
-	Methods []methodJSON `json:"methods"`
-}
-
-type methodJSON struct {
-	Name  string     `json:"name"`
-	Loops []loopJSON `json:"loops"`
-}
-
-type loopJSON struct {
-	Header int `json:"header"`
-	*LoopProfile
-}
-
-// Save writes the profile in its versioned on-disk format: a header line
-// `striderpgo <version> <fnv64a payload checksum>` followed by a
-// deterministic JSON payload.
-func (p *Profile) Save(w io.Writer) error {
-	body, err := p.marshal()
-	if err != nil {
-		return err
-	}
-	h := fnv.New64a()
-	h.Write(body)
-	if _, err := fmt.Fprintf(w, "striderpgo %d %016x\n", Version, h.Sum64()); err != nil {
-		return err
-	}
-	_, err = w.Write(body)
-	return err
-}
-
-func (p *Profile) marshal() ([]byte, error) {
-	out := profileJSON{Cell: p.Cell}
-	names := make([]string, 0, len(p.methods))
-	for name := range p.methods {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		mj := methodJSON{Name: name}
-		headers := make([]int, 0, len(p.methods[name]))
-		for h := range p.methods[name] {
-			headers = append(headers, h)
-		}
-		sort.Ints(headers)
-		for _, h := range headers {
-			mj.Loops = append(mj.Loops, loopJSON{Header: h, LoopProfile: p.methods[name][h]})
-		}
-		out.Methods = append(out.Methods, mj)
-	}
-	return json.Marshal(out)
-}
-
-// Load reads a profile written by Save, verifying the version and the
-// payload checksum. Errors wrap ErrVersion or ErrCorrupt.
-func Load(r io.Reader) (*Profile, error) {
-	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
-	}
-	fields := strings.Fields(strings.TrimSuffix(header, "\n"))
-	if len(fields) != 3 || fields[0] != "striderpgo" {
-		return nil, fmt.Errorf("%w: not a strider PGO profile", ErrCorrupt)
-	}
-	var version int
-	if _, err := fmt.Sscanf(fields[1], "%d", &version); err != nil {
-		return nil, fmt.Errorf("%w: bad version field %q", ErrCorrupt, fields[1])
-	}
-	if version != Version {
-		return nil, fmt.Errorf("%w: profile is v%d, this build reads v%d", ErrVersion, version, Version)
-	}
-	var sum uint64
-	if _, err := fmt.Sscanf(fields[2], "%016x", &sum); err != nil {
-		return nil, fmt.Errorf("%w: bad checksum field %q", ErrCorrupt, fields[2])
-	}
-	body, err := io.ReadAll(br)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	h := fnv.New64a()
-	h.Write(body)
-	if h.Sum64() != sum {
-		return nil, fmt.Errorf("%w: payload checksum mismatch", ErrCorrupt)
-	}
-	var in profileJSON
-	if err := json.Unmarshal(body, &in); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	p := NewProfile(in.Cell)
-	for _, mj := range in.Methods {
-		for _, lj := range mj.Loops {
-			if lj.LoopProfile == nil {
-				return nil, fmt.Errorf("%w: loop entry without a profile body", ErrCorrupt)
-			}
-			p.Record(mj.Name, lj.Header, lj.LoopProfile)
-		}
-	}
-	return p, nil
-}
-
-// LoadFor is Load plus the staleness guard: the profile must have been
-// recorded for exactly the given cell. Errors wrap ErrStale in addition
-// to Load's failure modes.
-func LoadFor(r io.Reader, cell string) (*Profile, error) {
-	p, err := Load(r)
-	if err != nil {
-		return nil, err
-	}
-	if p.Cell != cell {
-		return nil, fmt.Errorf("%w: profile is for cell %q, want %q", ErrStale, p.Cell, cell)
-	}
-	return p, nil
 }

@@ -1,13 +1,8 @@
 package static_test
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"reflect"
-	"strings"
 	"testing"
 
 	"strider/internal/arch"
@@ -84,14 +79,15 @@ func normalizeSrc(ds []telemetry.DecisionEvent) []telemetry.DecisionEvent {
 	return out
 }
 
-// TestProfileRoundTrip is the satellite property: record a dynamic run's
-// profile, serialize it, load it back, and the PGO compilation must make
-// byte-identical prefetch decisions — same generated code, same stats,
-// same decision stream — without a single inspection step.
+// TestProfileRoundTrip: record a dynamic run's profile and replay it, the
+// way every PGO cell consumes the in-memory profile its engine caches. The
+// PGO compilation must make byte-identical prefetch decisions — same
+// generated code, same stats, same decision stream — without a single
+// inspection step.
 func TestProfileRoundTrip(t *testing.T) {
 	fx := newHeapFixture(t, 64)
 	opts := jit.DefaultOptions(arch.Pentium4(), jit.InterIntra)
-	prof := static.NewProfile("cell")
+	prof := static.NewProfile()
 	opts.RecordProfile = prof
 	dynRec := &decisionLog{}
 	opts.Rec = dynRec
@@ -100,26 +96,9 @@ func TestProfileRoundTrip(t *testing.T) {
 		t.Fatal("profiling run recorded nothing")
 	}
 
-	var buf bytes.Buffer
-	if err := prof.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	saved := buf.Bytes()
-	loaded, err := static.LoadFor(bytes.NewReader(saved), "cell")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf2 bytes.Buffer
-	if err := loaded.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(saved, buf2.Bytes()) {
-		t.Error("save -> load -> save must be byte-identical")
-	}
-
 	pgoOpts := jit.DefaultOptions(arch.Pentium4(), jit.InterIntra)
 	pgoOpts.Predict = jit.PredictPGO
-	pgoOpts.Profile = loaded
+	pgoOpts.Profile = prof
 	pgoRec := &decisionLog{}
 	pgoOpts.Rec = pgoRec
 	pgo := jit.Compile(fx.p, fx.h, fx.m, fx.args, pgoOpts)
@@ -155,7 +134,7 @@ func TestProfileMissFallsBackToDynamic(t *testing.T) {
 
 	opts := jit.DefaultOptions(arch.Pentium4(), jit.InterIntra)
 	opts.Predict = jit.PredictPGO
-	opts.Profile = static.NewProfile("cell") // empty: every loop misses
+	opts.Profile = static.NewProfile() // empty: every loop misses
 	rec := &loopLog{}
 	opts.Rec = rec
 	pgo := jit.Compile(fx.p, fx.h, fx.m, fx.args, opts)
@@ -187,105 +166,9 @@ type loopLog struct {
 
 func (l *loopLog) Loop(e telemetry.LoopEvent) { l.loops = append(l.loops, e) }
 
-// TestLoadRejections is the table of bad inputs: corrupt framing, foreign
-// payloads, version skew, and staleness all fail with their typed error
-// and leave the caller to fall back to dynamic prediction.
-func TestLoadRejections(t *testing.T) {
-	var buf bytes.Buffer
-	p := static.NewProfile("cellA")
-	p.Record("m", 2, &static.LoopProfile{Verdict: telemetry.LoopSmallTrip, Trips: 3})
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.String()
-
-	// A syntactically valid frame around a payload Load must reject.
-	frame := func(body string) string {
-		h := fnv.New64a()
-		h.Write([]byte(body))
-		return fmt.Sprintf("striderpgo %d %016x\n%s", static.Version, h.Sum64(), body)
-	}
-
-	flipped := []byte(good)
-	flipped[len(flipped)-2] ^= 0xff
-
-	for _, tc := range []struct {
-		name string
-		in   string
-		want error
-	}{
-		{"empty", "", static.ErrCorrupt},
-		{"no-newline", "striderpgo", static.ErrCorrupt},
-		{"wrong-magic", "notaprofile 1 0000000000000000\n{}", static.ErrCorrupt},
-		{"missing-fields", "striderpgo 1\n{}", static.ErrCorrupt},
-		{"bad-version-field", "striderpgo one 0000000000000000\n{}", static.ErrCorrupt},
-		{"future-version", strings.Replace(good, "striderpgo 1", "striderpgo 99", 1), static.ErrVersion},
-		{"bad-checksum-field", "striderpgo 1 xyz\n{}", static.ErrCorrupt},
-		{"checksum-mismatch", string(flipped), static.ErrCorrupt},
-		{"payload-not-json", frame("not json"), static.ErrCorrupt},
-		{"loop-without-body", frame(`{"cell":"c","methods":[{"name":"m","loops":[{"header":2}]}]}`), static.ErrCorrupt},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := static.Load(strings.NewReader(tc.in))
-			if !errors.Is(err, tc.want) {
-				t.Errorf("Load = %v, want %v", err, tc.want)
-			}
-		})
-	}
-
-	t.Run("stale-cell", func(t *testing.T) {
-		if _, err := static.LoadFor(strings.NewReader(good), "cellB"); !errors.Is(err, static.ErrStale) {
-			t.Errorf("LoadFor = %v, want ErrStale", err)
-		}
-		if _, err := static.LoadFor(strings.NewReader(good), "cellA"); err != nil {
-			t.Errorf("matching cell must load: %v", err)
-		}
-	})
-
-	t.Run("body-read-error", func(t *testing.T) {
-		r := io.MultiReader(strings.NewReader("striderpgo 1 0000000000000000\n"), &errReader{})
-		if _, err := static.Load(r); !errors.Is(err, static.ErrCorrupt) {
-			t.Errorf("Load = %v, want ErrCorrupt", err)
-		}
-	})
-
-	t.Run("load-error-propagates", func(t *testing.T) {
-		if _, err := static.LoadFor(strings.NewReader("garbage"), "cellA"); !errors.Is(err, static.ErrCorrupt) {
-			t.Errorf("LoadFor = %v, want ErrCorrupt", err)
-		}
-	})
-}
-
-// errReader fails every read, exercising Load's body-read error path.
-type errReader struct{}
-
-func (errReader) Read([]byte) (int, error) { return 0, errors.New("io failure") }
-
-// failWriter errors after a byte budget, exercising Save's error paths.
-type failWriter struct{ budget int }
-
-func (w *failWriter) Write(p []byte) (int, error) {
-	if len(p) > w.budget {
-		return 0, errors.New("disk full")
-	}
-	w.budget -= len(p)
-	return len(p), nil
-}
-
-func TestSaveWriteFailure(t *testing.T) {
-	p := static.NewProfile("c")
-	p.Record("m", 2, &static.LoopProfile{Verdict: telemetry.LoopAccepted})
-	if err := p.Save(&failWriter{budget: 0}); err == nil {
-		t.Error("header write failure must surface")
-	}
-	if err := p.Save(&failWriter{budget: 40}); err == nil {
-		t.Error("payload write failure must surface")
-	}
-}
-
 // TestProfileStore covers the in-memory map semantics.
 func TestProfileStore(t *testing.T) {
-	p := static.NewProfile("c")
+	p := static.NewProfile()
 	if p.Len() != 0 || p.Loop("m", 1) != nil {
 		t.Error("empty profile must be all misses")
 	}

@@ -16,9 +16,6 @@
 package strider
 
 import (
-	"io"
-	"sync"
-
 	"strider/internal/arch"
 	"strider/internal/core/jit"
 	"strider/internal/harness"
@@ -73,31 +70,11 @@ func Machines() []*Machine { return arch.Machines() }
 // stream, ipstride, tracker, multistride.
 func HWModels() []string { return memsim.HWModels() }
 
-// SetHWModel installs a process-wide default hardware-prefetcher model
-// for specs that leave HW empty ("" restores each machine's own model).
-func SetHWModel(name string) error {
-	if err := harness.CheckHW(name); err != nil {
-		return err
-	}
-	configure(func(e *harness.Engine) { e.HW = name })
-	return nil
-}
-
 // PredictSources returns the names of the prediction sources feeding
 // prefetch decisions (the Spec.Predict selectors): dynamic (the paper's
 // object inspection), static (offline IR analysis, no inspection), pgo
 // (replay a recorded inspection profile).
 func PredictSources() []string { return jit.PredictSources() }
-
-// SetPredict installs a process-wide default prediction source for specs
-// that leave Predict empty ("" restores the dynamic default).
-func SetPredict(name string) error {
-	if err := harness.CheckPredict(name); err != nil {
-		return err
-	}
-	configure(func(e *harness.Engine) { e.Predict = name })
-	return nil
-}
 
 // Workload is one benchmark analog (see internal/workloads).
 type Workload = workloads.Workload
@@ -114,9 +91,23 @@ type Spec = harness.Spec
 // RunStats is the result of one measured run.
 type RunStats = vm.RunStats
 
-// Run executes one experiment spec (results are cached per process;
-// concurrent callers with the same spec share one underlying execution).
-func Run(s Spec) (RunStats, error) { return engine().Run(s) }
+// Engine runs experiment specs and caches their results. Its exported
+// fields are its settings: the hardware-prefetcher model (HW) and
+// prediction source (Predict) for specs that leave theirs empty, the
+// telemetry Recorder, the batch worker count (Parallel) and the per-cell
+// Progress writer. A caller that wants settings builds its own, e.g.
+// &strider.Engine{Parallel: 8}, and sets them before first use. Two
+// Engines share nothing.
+type Engine = harness.Engine
+
+// defaultEngine serves the package-level Run, RunAll, Parallelism,
+// Explain and Speedups with the built-in defaults.
+var defaultEngine = new(Engine)
+
+// Run executes one experiment spec on the default Engine (results are
+// cached per process; concurrent callers with the same spec share one
+// underlying execution).
+func Run(s Spec) (RunStats, error) { return defaultEngine.Run(s) }
 
 // Result is the outcome of one cell of a batch run.
 type Result = harness.Result
@@ -125,26 +116,20 @@ type Result = harness.Result
 // pool with deduplication of identical cells.
 type Grid = harness.Grid
 
-// RunAll executes a batch of specs across the worker pool and returns
-// results in order; the error is the first cell error, if any.
-func RunAll(specs []Spec) ([]Result, error) { return engine().RunAll(specs) }
+// RunAll executes a batch of specs across the default Engine's worker
+// pool and returns results in order; the error is the first cell error,
+// if any.
+func RunAll(specs []Spec) ([]Result, error) { return defaultEngine.RunAll(specs) }
 
-// SetParallelism sets the default worker-pool size for batch runs
-// (n <= 0 restores the default, GOMAXPROCS).
-func SetParallelism(n int) { configure(func(e *harness.Engine) { e.Parallel = n }) }
-
-// Parallelism returns the current default worker-pool size.
-func Parallelism() int { return engine().Parallelism() }
-
-// SetProgress directs per-cell progress and timing lines to w (nil, the
-// default, disables them). Table and figure output is unaffected, so
-// results stay byte-identical at every parallelism level.
-func SetProgress(w io.Writer) { configure(func(e *harness.Engine) { e.Progress = w }) }
+// Parallelism returns the default Engine's worker-pool size (GOMAXPROCS).
+func Parallelism() int { return defaultEngine.Parallelism() }
 
 // Recorder receives the stack's telemetry events: JIT compiles, loop
 // inspection verdicts, Sec. 3.3 filter decisions, per-site memory
 // attribution, and grid cell scheduling. Implementations must be safe for
-// concurrent use when batch runs are parallel.
+// concurrent use when batch runs are parallel. Install one as an
+// Engine's Recorder field (nil, the default, disables telemetry at zero
+// cost).
 type Recorder = telemetry.Recorder
 
 // Trace is the built-in Recorder: a concurrency-safe in-memory collector
@@ -155,15 +140,9 @@ type Trace = telemetry.Trace
 // NewTrace returns an empty Trace.
 func NewTrace() *Trace { return telemetry.NewTrace() }
 
-// SetRecorder installs r as the telemetry sink for subsequent Run/RunAll
-// calls (nil, the default, disables telemetry at zero cost). Cells served
-// from the result cache emit only their grid cell event — use Explain for
-// a complete single-run decision trace.
-func SetRecorder(r Recorder) { configure(func(e *harness.Engine) { e.Recorder = r }) }
-
 // Explain runs one spec on a private, uncached VM with tracing enabled
 // and returns the human-readable per-loop prefetch decision log.
-func Explain(s Spec) (string, error) { return engine().Explain(s) }
+func Explain(s Spec) (string, error) { return defaultEngine.Explain(s) }
 
 // VerifyReport is the outcome of one differential verification: the
 // reference fingerprint, one cell per (machine, prefetch mode)
@@ -185,40 +164,7 @@ func Verify(workload string, size Size, gc GCMode) (*VerifyReport, error) {
 // Speedups measures the INTER and INTER+INTRA speedups (percent) of a
 // workload over BASELINE on the named machine.
 func Speedups(workload, machine string, size Size) (inter, interIntra float64, err error) {
-	return engine().Speedups(workload, machine, size)
-}
-
-// The facade runs every cell on one harness Engine. An Engine's settings
-// are fixed once it runs, so each Set* call swaps in a new Engine with
-// the changed setting and the others carried over: runs already started
-// finish on the engine they began on, and the new one starts with empty
-// caches.
-var (
-	facadeMu sync.Mutex
-	facade   = new(harness.Engine)
-)
-
-// engine returns the facade's current Engine.
-func engine() *harness.Engine {
-	facadeMu.Lock()
-	defer facadeMu.Unlock()
-	return facade
-}
-
-// configure replaces the facade's Engine with one whose settings are the
-// current ones changed by set.
-func configure(set func(*harness.Engine)) {
-	facadeMu.Lock()
-	defer facadeMu.Unlock()
-	e := &harness.Engine{
-		HW:       facade.HW,
-		Predict:  facade.Predict,
-		Recorder: facade.Recorder,
-		Parallel: facade.Parallel,
-		Progress: facade.Progress,
-	}
-	set(e)
-	facade = e
+	return defaultEngine.Speedups(workload, machine, size)
 }
 
 // Program is an IR program; VM executes them. Exposed so examples can

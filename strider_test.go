@@ -1,6 +1,7 @@
 package strider_test
 
 import (
+	"bytes"
 	"testing"
 
 	"strider"
@@ -83,5 +84,33 @@ func TestFacadeCustomVM(t *testing.T) {
 	}
 	if v.CompiledFor(prog.MethodByName("::findInMemory")) == nil {
 		t.Error("findInMemory must be JIT-compiled")
+	}
+}
+
+// TestFacadeEngineSettings: settings live on a caller-built Engine. Its
+// HW default must give the same cell as naming the model in the spec on
+// the package-level default engine, and its Progress writer sees the
+// batch's cells.
+func TestFacadeEngineSettings(t *testing.T) {
+	var progress bytes.Buffer
+	e := &strider.Engine{HW: "none", Parallel: 1, Progress: &progress}
+	spec := strider.Spec{Workload: "search", Machine: "Pentium4", Mode: strider.InterIntra, Size: strider.SizeSmall}
+	res, err := e.RunAll([]strider.Spec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.HW = "none"
+	want, err := strider.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Stats != want {
+		t.Errorf("Engine.HW default diverged from Spec.HW:\n engine %+v\n spec   %+v", res[0].Stats, want)
+	}
+	if res[0].Stats.HWModel != "none" {
+		t.Errorf("HWModel = %q, want none", res[0].Stats.HWModel)
+	}
+	if progress.Len() == 0 {
+		t.Error("Engine.Progress saw no cell")
 	}
 }
