@@ -11,6 +11,7 @@ import (
 	"strider/internal/core/ldg"
 	"strider/internal/dataflow"
 	"strider/internal/harness"
+	"strider/internal/interp"
 	"strider/internal/memsim"
 	"strider/internal/oracle"
 	"strider/internal/server"
@@ -320,22 +321,11 @@ func hwEntry(name, model string) Entry {
 	}}
 }
 
-// flatMem is the zero-latency memory model the exec/* entry runs over:
-// loads and stores complete instantly and prefetches report a fill. It
-// keeps the architectural semantics (same values, same control flow,
-// same retirement counts) while taking the cache simulation out of the
-// timed loop.
-type flatMem struct{}
-
-func (flatMem) LoadAt(addr, size uint32, now uint64, pc uint64) uint64 { return 0 }
-func (flatMem) Store(addr, size uint32, now uint64) uint64             { return 0 }
-func (flatMem) Prefetch(addr uint32, guarded bool, now uint64) telemetry.PrefetchOutcome {
-	return telemetry.PrefetchFetched
-}
-
 // execEntry builds the execution-tier entry: a steady-state jess run (one
 // VM, JIT warmed, ResetRun between iterations) over the zero-latency
-// memory model.
+// memory model, interp.FlatMem, which keeps the architectural semantics
+// (same values, same control flow, same retirement counts) while taking
+// the cache simulation out of the timed loop.
 func execEntry(name string) Entry {
 	return Entry{Name: name, Make: func() (func() (Work, error), error) {
 		w, err := workloads.ByName("jess")
@@ -346,8 +336,8 @@ func execEntry(name string) Entry {
 		v := vm.New(prog, vm.Config{Machine: arch.Pentium4(), Mode: jit.InterIntra, HeapBytes: w.HeapBytes})
 		// SetMem, not a field write: it unpins the engine's devirtualized
 		// fast lane along with the model, so every access really dispatches
-		// through flatMem.
-		v.Engine.SetMem(flatMem{})
+		// through interp.FlatMem.
+		v.Engine.SetMem(interp.FlatMem{})
 		// One untimed run so the JIT reaches steady state.
 		if _, err := v.Run(nil); err != nil {
 			return nil, err

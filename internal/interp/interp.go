@@ -41,6 +41,24 @@ type MemModel interface {
 	Prefetch(addr uint32, guarded bool, now uint64) telemetry.PrefetchOutcome
 }
 
+// FlatMem is the zero-latency memory model: loads and stores cost no
+// cycles and every prefetch reports a fill. Running over it keeps a
+// program's architectural behaviour (values, control flow, retirement
+// counts, heap and GC) and drops only the memory timing, along with the
+// host cost of simulating it.
+type FlatMem struct{}
+
+// LoadAt implements MemModel.
+func (FlatMem) LoadAt(addr, size uint32, now uint64, pc uint64) uint64 { return 0 }
+
+// Store implements MemModel.
+func (FlatMem) Store(addr, size uint32, now uint64) uint64 { return 0 }
+
+// Prefetch implements MemModel.
+func (FlatMem) Prefetch(addr uint32, guarded bool, now uint64) telemetry.PrefetchOutcome {
+	return telemetry.PrefetchFetched
+}
+
 // Code is an executable method body as chosen by the dispatcher.
 type Code struct {
 	Instrs   []ir.Instr
@@ -174,8 +192,8 @@ type Engine struct {
 	// memory-access sites (and the compiled tier's, via FastMem): probe
 	// memsim.LoadHit/StoreHit inline, fall into the full access as a
 	// direct — not interface — call. nil routes every access through the
-	// MemModel interface: any other model (oracle taps, test doubles, flat
-	// memory, or a wrapper that hides a *memsim.Memory behind the
+	// MemModel interface: any other model (oracle taps, test doubles,
+	// FlatMem, or a wrapper that hides a *memsim.Memory behind the
 	// interface). Derived by SetMem; the lane choice is made once at
 	// wiring, never per access.
 	fastMem *memsim.Memory

@@ -9,6 +9,7 @@ import (
 	"strider/internal/heap"
 	"strider/internal/ir"
 	"strider/internal/memsim"
+	"strider/internal/telemetry"
 	"strider/internal/value"
 )
 
@@ -468,5 +469,59 @@ func TestWrongArgCount(t *testing.T) {
 	e := newEngine(p, interpOnly{})
 	if _, err := e.Run(m, nil); err == nil {
 		t.Error("arity mismatch must fail")
+	}
+}
+
+// TestFlatMemKeepsArchitecture runs one program over the simulator and
+// over FlatMem: the result, checksum and retirement count agree, FlatMem
+// never pins the fast lane, and only the memory stalls leave the cycle
+// count.
+func TestFlatMemKeepsArchitecture(t *testing.T) {
+	u := emptyUniverse()
+	p := ir.NewProgram(u)
+	b := ir.NewBuilder(p, nil, "main", value.KindInt)
+	n := b.ConstInt(64)
+	arr := b.NewArray(value.KindInt, n)
+	i := b.ConstInt(5)
+	b.ArrayStore(value.KindInt, arr, i, n)
+	v := b.ArrayLoad(value.KindInt, arr, i)
+	b.Return(v)
+	m := b.Finish()
+	// A software prefetch of the array's first line, ahead of the return.
+	ret := m.Code[len(m.Code)-1]
+	m.Code = append(m.Code[:len(m.Code)-1], ir.Instr{Op: ir.OpPrefetch, Addr: ir.AddrExpr{Base: arr, Index: ir.NoReg}}, ret)
+	if err := ir.Validate(m); err != nil {
+		t.Fatal(err)
+	}
+	p.Entry = m
+
+	run := func(flat bool) (value.Value, Stats) {
+		t.Helper()
+		e := newEngine(p, interpOnly{})
+		if flat {
+			e.SetMem(FlatMem{})
+			if e.FastMem() != nil {
+				t.Fatal("FlatMem pinned as the fast lane")
+			}
+		}
+		got, err := e.Run(p.Entry, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, e.S
+	}
+	simV, sim := run(false)
+	flatV, flat := run(true)
+	if simV != flatV || simV.Int() != 64 {
+		t.Errorf("results %v (simulated) and %v (flat), want 64", simV, flatV)
+	}
+	if sim.Instructions != flat.Instructions || sim.Checksum != flat.Checksum || sim.AllocBytes != flat.AllocBytes {
+		t.Errorf("architectural stats diverged:\n simulated %+v\n flat      %+v", sim, flat)
+	}
+	if flat.Cycles >= sim.Cycles {
+		t.Errorf("flat memory took %d cycles, the simulator %d: no stall was dropped", flat.Cycles, sim.Cycles)
+	}
+	if out := (FlatMem{}).Prefetch(0, true, 0); out != telemetry.PrefetchFetched {
+		t.Errorf("FlatMem prefetch reported %v, want a fill", out)
 	}
 }

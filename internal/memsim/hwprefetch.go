@@ -65,9 +65,6 @@ type HWPrefetcher interface {
 	Train(addr uint64, pc uint64, now uint64)
 	Reset()
 	Stats() HWStats
-	// ClearStats zeroes the statistics while keeping the trained state
-	// (used between a warmup run and a measured run).
-	ClearStats()
 }
 
 // DefaultHWModel is the model used when a machine does not name one: the
@@ -134,7 +131,6 @@ func newHWCore(port HWPort) hwCore {
 }
 
 func (h *hwCore) Stats() HWStats { return h.stats }
-func (h *hwCore) ClearStats()    { h.stats = HWStats{} }
 
 // issue fills nextLine unless it lies outside page or is already cached,
 // updating stats accordingly. A negative nextLine shifts to an address

@@ -282,29 +282,6 @@ func TestResetBitIdentical(t *testing.T) {
 	}
 }
 
-// TestClearStatsKeepsTrainedState checks the warmup contract: clearing
-// statistics between runs must not forget the trained tables (the
-// ipstride entry stays Steady and issues on the very next reference).
-func TestClearStatsKeepsTrainedState(t *testing.T) {
-	port := newFakePort(7, 12)
-	p := newHWPrefetcher("ipstride", port)
-	// Establish a steady stride-1 stream on pc 1 within one page.
-	for i := uint64(0); i < 4; i++ {
-		p.Train(i<<7, 1, i)
-	}
-	if p.Stats().Issued == 0 {
-		t.Fatal("stream never reached Steady")
-	}
-	p.ClearStats()
-	if s := p.Stats(); s != (HWStats{}) {
-		t.Fatalf("ClearStats left %+v", s)
-	}
-	p.Train(4<<7, 1, 10)
-	if s := p.Stats(); s.Issued != 1 || s.Hits != 1 {
-		t.Fatalf("trained state lost across ClearStats: %+v", s)
-	}
-}
-
 // TestCheckInvariantsDetectsHWCorruption tampers with the per-prefetcher
 // statistic relations and expects the matching violations.
 func TestCheckInvariantsDetectsHWCorruption(t *testing.T) {

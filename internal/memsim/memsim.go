@@ -306,15 +306,6 @@ func (mem *Memory) LineShift() uint { return mem.l2.lineShift }
 // PageShift implements HWPort.
 func (mem *Memory) PageShift() uint { return mem.pageShift }
 
-// ResetCounters clears counters but keeps cache contents and trained
-// prefetcher state (used between a warmup run and a measured run); the
-// hardware prefetcher's statistics are cleared with the counters so
-// C.HWPrefetches and HWStats().Issued stay in lockstep.
-func (mem *Memory) ResetCounters() {
-	mem.C = Counters{}
-	mem.hw.ClearStats()
-}
-
 // EnableSelfCheck turns on fill-time invariant checking: every L1 fill
 // verifies that the line is simultaneously present in the L2 (the
 // inclusion property of the model — on the Athlon MP the paper relies on

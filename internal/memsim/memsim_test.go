@@ -255,18 +255,17 @@ func TestHWPrefetcherIgnoresPointerChasing(t *testing.T) {
 	}
 }
 
-func TestResetAndResetCounters(t *testing.T) {
+func TestReset(t *testing.T) {
 	m := freshP4()
 	m.Load(0x10000, 4, 0)
-	m.ResetCounters()
-	if m.C.Loads != 0 {
-		t.Error("ResetCounters failed")
-	}
-	// Cache contents kept: the reload hits.
+	// Cache contents kept across accesses: the reload hits.
 	if stall := m.Load(0x10000, 4, 1_000_000); stall != m.Arch.L1HitCycles {
-		t.Error("ResetCounters must keep cache contents")
+		t.Fatal("the reload before Reset missed")
 	}
 	m.Reset()
+	if m.C.Loads != 0 {
+		t.Error("Reset must clear the counters")
+	}
 	if stall := m.Load(0x10000, 4, 2_000_000); stall <= m.Arch.L1HitCycles {
 		t.Error("Reset must flush caches")
 	}

@@ -6,6 +6,12 @@
 // Sec. 3: "the JIT compiler is invoked for a method when the method is
 // about to be executed ... actual values for the parameters are available
 // at compile time").
+//
+// Measure follows the paper's methodology (warm-up runs, then the
+// measured run) with the warm-ups over a zero-latency memory model:
+// nothing a warm-up leaves behind for the measured run — JIT state, the
+// heap it resets — depends on memory timing, so only the measured run
+// pays for the cache, DTLB and prefetch simulation.
 package vm
 
 import (
@@ -277,12 +283,31 @@ func (v *VM) FlushTelemetry() {
 
 // Measure runs the program warmups+1 times, resetting between runs, and
 // returns the statistics of the final (steady-state) run.
+//
+// The warm-up runs execute over interp.FlatMem instead of the memory
+// model the engine is wired to: the measured run cannot observe the
+// warm-up's memory timing, because ResetRun leaves the memory system
+// identical to a freshly constructed one, and the JIT (object inspection
+// included) reads only the heap and the argument values, which the
+// memory model never touches. So every compiled artifact and every
+// measured RunStats is the same as after a simulated warm-up, and only
+// host time is saved. The caller's model — the pinned *memsim.Memory or
+// a wrapping MemModel — is reinstalled before the measured run, and on
+// a warm-up trap before Measure returns. A caller whose model must see
+// the warm-up's accesses (the oracle's load tap) drives Run and
+// ResetRun itself.
 func (v *VM) Measure(args []value.Value, warmups int) (RunStats, error) {
-	for i := 0; i < warmups; i++ {
-		if _, err := v.Run(args); err != nil {
-			return RunStats{}, err
+	if warmups > 0 {
+		mem := v.Engine.Mem
+		v.Engine.SetMem(interp.FlatMem{})
+		for i := 0; i < warmups; i++ {
+			if _, err := v.Run(args); err != nil {
+				v.Engine.SetMem(mem)
+				return RunStats{}, err
+			}
+			v.ResetRun()
 		}
-		v.ResetRun()
+		v.Engine.SetMem(mem)
 	}
 	return v.Run(args)
 }
