@@ -59,8 +59,8 @@ func Suite() []Entry {
 		// Steady-state engine speed: one VM reused across iterations
 		// (ResetRun between runs), so this isolates the execution +
 		// memory-model loop from build and JIT costs. After the first
-		// (warmup) iteration every method is JIT-compiled, so the loop is
-		// the threaded tier's; the name is kept so the entry's history
+		// (warmup) iteration every method is JIT-compiled, so the loop runs
+		// compiled micro-ops only; the name is kept so the entry's history
 		// continues. It performs zero heap allocations.
 		{Name: "interp/search-small-steady", Make: func() (func() (Work, error), error) {
 			w, err := workloads.ByName("search")

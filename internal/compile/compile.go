@@ -1,21 +1,23 @@
-// Package compile is the VM's compiled execution tier: it translates a
-// JIT-compiled IR method into a pre-decoded micro-op stream executed by a
-// two-level threaded dispatch. The VM builds one for every method it
-// JIT-compiles, so every compiled activation runs here; interpreted
-// activations run on the interpreter's step loop, which is also the
-// reference this package's differential and trap-parity tests compare
-// against.
+// Package compile is the VM's execution tier: it translates an IR method
+// body into a pre-decoded micro-op stream executed by a two-level threaded
+// dispatch. Every activation runs here. The VM builds an interpreted
+// artifact for every method when it is created (BuildInterpreted) and
+// replaces a method's artifact with a compiled one when the JIT compiles
+// it (Build); each Func records its tier, which sets the accounting: an
+// interpreted micro-op retires at the machine's issue cost plus its
+// interpretation penalty and is never credited to the compiled-code
+// counters, so the mixed-mode compiled fractions of Table 3 arise exactly
+// as on a step-by-step interpreter.
 //
-// Where the interpreter re-decodes every ir.Instr on every execution —
-// operand registers, field offsets, branch targets, static-slot map
-// lookups — Build resolves all of that once, at the same
+// Translation resolves operand registers, field offsets, branch targets
+// and static-slot lookups once — for compiled code at the same
 // compile-at-invocation point where object inspection runs (the paper's
-// Sec. 3 hook). Every micro-op carries a dense micro-kind specialized for
+// Sec. 3 hook) — instead of re-decoding every ir.Instr on every
+// execution. Every micro-op carries a dense micro-kind specialized for
 // one (op, kind, cond) shape; the runner keeps pc, the cycle counter, and
 // the retired-instruction counter in locals and dispatches hot kinds
-// through a single jump-table switch over a 56-byte hot op record — the
-// interpreter walks 136-byte ir.Instr records and re-derives operands
-// from them on every visit. The cold tail — calls, allocation, prefetch
+// through a single jump-table switch over a 56-byte hot op record, where
+// an ir.Instr is 136 bytes. The cold tail — calls, allocation, prefetch
 // address evaluation, the generic arithmetic fallbacks — is a chain of
 // per-op Go functions (the classic threaded-code form) over a parallel
 // side table, entered from the same loop. Maximal runs of trap-free
@@ -23,19 +25,20 @@
 // and array addressing holds a one-entry header memo (length + element
 // size) that pure heap reads make unobservable.
 //
-// Semantics are pinned to the interpreter bit for bit: every memory
-// access goes through the same MemModel calls with the same load-site
-// pcs and the same `now` cycle counts, prefetch instructions spliced in
-// by the JIT execute exactly as the interpreter sees them, traps carry
-// the same causes at the same pcs, and cycle/instruction accounting is
-// identical (the threaded tier only runs JIT-compiled methods, so every
-// retired micro-op is a compiled instruction). The oracle differ and the
-// golden decision traces hold this equivalence down to the byte.
+// Semantics are pinned bit for bit to a straightforward one-instruction-
+// at-a-time interpreter, which this package's tests keep as their
+// reference: every memory access goes through the same MemModel calls
+// with the same load-site pcs and the same `now` cycle counts, prefetch
+// instructions spliced in by the JIT execute exactly as written, traps
+// carry the same causes at the same pcs, and cycle/instruction accounting
+// is identical in both tiers. The oracle differ and the golden decision
+// traces hold this equivalence down to the byte.
 //
 // Artifacts are arena-style: one Func owns one []uop arena and one
-// parallel cold-field arena, each sized 1:1 with the IR, shared immutably
-// across pooled VMs, and the per-engine thread state is parked in
-// Engine.ExecScratch so the steady-state loop allocates nothing.
+// parallel cold-field arena, each sized 1:1 with the IR (BuildInterpreted
+// carves every method's arenas out of one allocation each), shared
+// immutably across pooled VMs, and the per-engine thread state is parked
+// in Engine.ExecScratch so the steady-state loop allocates nothing.
 package compile
 
 import (
@@ -50,7 +53,7 @@ import (
 // Control codes returned in place of a next pc.
 const (
 	ctrlReturn = -1 // frame done; thread.ret holds the value
-	ctrlCall   = -2 // callee frame pushed; yield to the engine's Run loop
+	ctrlCall   = -2 // callee frame pushed; continue it or yield to Run
 	ctrlTrap   = -3 // trap; thread.err holds the cause, f.PC the pc
 )
 
@@ -143,24 +146,28 @@ type uopCold struct {
 	guarded bool
 }
 
-// Func is the compiled artifact for one method. It is immutable after
-// Build and safe to share across engines and pooled VMs.
+// Func is the threaded artifact for one method body in one tier. It is
+// immutable after it is built and safe to share across engines and pooled
+// VMs.
 type Func struct {
 	m        *ir.Method
 	ops      []uop
 	cold     []uopCold
 	siteBase uint64
+	compiled bool // JIT-compiled code; false runs with interpreted accounting
 }
 
 var _ interp.ThreadedCode = (*Func)(nil)
 
-// thread is the per-engine execution state of the compiled tier. One
-// lives in Engine.ExecScratch for the engine's lifetime; bind re-points
-// it at the current frame, so steady-state Step calls allocate nothing.
+// thread is the per-engine execution state of Step. One lives in
+// Engine.ExecScratch for the engine's lifetime; bind re-points it at the
+// current frame, so steady-state Step calls allocate nothing.
 //
 // cycles/instrs mirror Engine.S.Cycles/S.Instructions in locals; cyc0/ni0
 // are the values at the last flush, so flushAcc can add the delta to the
-// compiled-tier counters (all threaded code is JIT-compiled code).
+// compiled-code counters when the running code is compiled. One Step only
+// ever runs code of one tier (calls across tiers yield to Run), so
+// perInstr and compiled hold for the whole Step.
 type thread struct {
 	e    *interp.Engine
 	f    *interp.Frame
@@ -172,6 +179,7 @@ type thread struct {
 	perInstr uint64
 	max      uint64
 	rec      bool
+	compiled bool
 
 	cycles, instrs uint64
 	cyc0, ni0      uint64
@@ -206,9 +214,11 @@ func (t *thread) bind(e *interp.Engine, f *interp.Frame, c *Func) {
 	t.ops = c.ops
 	t.m = c.m
 	t.siteBase = c.siteBase
-	// Threaded code only exists for JIT-compiled methods, so the
-	// per-instruction cost never includes the interpretation penalty.
+	t.compiled = c.compiled
 	t.perInstr = e.Machine.IssueCycles
+	if !c.compiled {
+		t.perInstr += e.Machine.InterpPenalty
+	}
 	t.max = e.MaxInstructions
 	t.rec = e.Rec != nil
 	t.load()
@@ -216,7 +226,7 @@ func (t *thread) bind(e *interp.Engine, f *interp.Frame, c *Func) {
 
 // load refreshes the local accumulators from the engine — required after
 // any engine call that mutates S.Cycles directly (allocation touch
-// traffic, GC cost), which by design is not compiled-tier time. Those are
+// traffic, GC cost), which by design is not compiled-code time. Those are
 // also exactly the points where the heap can move or recycle objects, so
 // the array memo dies here too.
 func (t *thread) load() {
@@ -227,13 +237,16 @@ func (t *thread) load() {
 }
 
 // flushAcc publishes the local accumulators to the engine, crediting the
-// delta since the last flush to the compiled-tier counters.
+// delta since the last flush to the compiled-code counters when the
+// running code is compiled.
 func (t *thread) flushAcc() {
 	s := &t.e.S
 	s.Cycles = t.cycles
 	s.Instructions = t.instrs
-	s.CompiledCycles += t.cycles - t.cyc0
-	s.CompiledInstructions += t.instrs - t.ni0
+	if t.compiled {
+		s.CompiledCycles += t.cycles - t.cyc0
+		s.CompiledInstructions += t.instrs - t.ni0
+	}
 	t.cyc0, t.ni0 = t.cycles, t.instrs
 }
 
@@ -245,9 +258,9 @@ func (t *thread) trap(u *uop, err error) int {
 	return ctrlTrap
 }
 
-// elemAddr resolves an array element address with the interpreter's exact
-// checks, serving the header (length + element size) from the one-entry
-// memo when the same array is addressed back to back.
+// elemAddr resolves an array element address with full null, kind and
+// bounds checking, serving the header (length + element size) from the
+// one-entry memo when the same array is addressed back to back.
 func (t *thread) elemAddr(arr, idx value.Value) (uint32, error) {
 	if !arr.IsRef() || idx.K != value.KindInt {
 		return 0, interp.ErrBadValue
@@ -273,21 +286,22 @@ func (t *thread) elemAddr(arr, idx value.Value) (uint32, error) {
 }
 
 // Step implements interp.ThreadedCode: execute the frame from f.PC until
-// it returns, calls, or traps, with the interpreter step's exact
-// contract.
+// it returns, yields at a call, or traps.
 //
-// The loop is the compiled tier's entire point: pc, the cycle counter,
+// The loop is the execution tier's entire point: pc, the cycle counter,
 // and the retired-instruction counter live in registers, the budget check
 // is one compare, and each hot micro-kind is a jump-table case over
 // pre-decoded operands. The engine's accumulators are only touched at
 // yield points (flushAcc) and around engine calls that charge cycles
 // themselves.
 //
-// Calls between compiled methods execute nested inside the same loop:
-// the engine's frame stack stays authoritative (PushCall/PopFrame keep
-// GC roots and trap attribution exact), but the Run-loop round trip —
-// and its per-frame bind/flush — is skipped. Only a call into an
-// interpreted (not yet JIT-compiled) method yields to Run.
+// Calls between methods of the same tier execute nested inside the same
+// loop: the engine's frame stack stays authoritative (PushCall/PopFrame
+// keep GC roots and trap attribution exact), but the Run-loop round trip —
+// and its per-frame bind/flush — is skipped. A call into the other tier
+// (compiled code calling a method not yet JIT-compiled, or interpreted
+// code calling a compiled one) yields to Run, which binds the callee with
+// its own tier's accounting.
 func (c *Func) Step(e *interp.Engine, f *interp.Frame) (value.Value, bool, error) {
 	t := scratch(e)
 	t.bind(e, f, c)
@@ -302,8 +316,8 @@ func (c *Func) Step(e *interp.Engine, f *interp.Frame) (value.Value, bool, error
 		max    = t.max
 		per    = t.perInstr
 		// fm != nil routes the memory micro-ops through the inline-probe
-		// hit lane with a devirtualized fallback, exactly like the
-		// interpreter's step; nil is the fully general interface path.
+		// hit lane with a devirtualized fallback; nil is the fully
+		// general interface path (see Engine.FastMem).
 		fm = e.FastMem()
 	)
 	for pc >= 0 {
@@ -667,8 +681,8 @@ func (c *Func) Step(e *interp.Engine, f *interp.Frame) (value.Value, bool, error
 				// and t.f are stale: re-point at the callee, or yield to
 				// Run, which re-fetches its top frame.
 				nf := e.TopFrame()
-				if nfc, ok := nf.Threaded().(*Func); ok {
-					// Compiled callee: keep executing in this loop.
+				if nfc, ok := nf.Threaded().(*Func); ok && nfc.compiled == fc.compiled {
+					// Same-tier callee: keep executing in this loop.
 					f = nf
 					fc = nfc
 					ops = fc.ops
@@ -699,23 +713,44 @@ func (c *Func) Step(e *interp.Engine, f *interp.Frame) (value.Value, bool, error
 	return value.Value{}, false, err
 }
 
-// Build translates a JIT-compiled method body into its threaded form.
-// The hot []uop arena and its parallel cold table are the only
-// allocations proportional to code size; operand decoding (field
-// offsets, access sizes, static slots, constant values, branch shapes)
-// happens here, once.
+// Build translates a JIT-compiled method body (code, the JIT's output
+// for m) into its compiled threaded form. The hot []uop arena and its
+// parallel cold table are the only allocations proportional to code size;
+// operand decoding (field offsets, access sizes, static slots, constant
+// values, branch shapes) happens here, once.
 func Build(m *ir.Method, code []ir.Instr, u *classfile.Universe) *Func {
-	c := &Func{
-		m:        m,
-		ops:      make([]uop, len(code)),
-		cold:     make([]uopCold, len(code)),
-		siteBase: uint64(m.Index()+1) << 16,
-	}
-	for i := range code {
-		decode(&c.ops[i], &c.cold[i], &code[i], i, u)
-	}
-	fuse(c.ops)
+	c := &Func{}
+	build(c, m, code, u, true, make([]uop, len(code)), make([]uopCold, len(code)))
 	return c
+}
+
+// BuildInterpreted builds the interpreted artifact of every method of p,
+// indexed by ir.Method.Index. The Funcs and their hot and cold arenas are
+// one allocation each, however many methods p has.
+func BuildInterpreted(p *ir.Program) []Func {
+	methods := p.Methods()
+	n := 0
+	for _, m := range methods {
+		n += len(m.Code)
+	}
+	funcs := make([]Func, len(methods))
+	ops := make([]uop, n)
+	cold := make([]uopCold, n)
+	for i, m := range methods {
+		k := len(m.Code)
+		build(&funcs[i], m, m.Code, p.Universe, false, ops[:k:k], cold[:k:k])
+		ops, cold = ops[k:], cold[k:]
+	}
+	return funcs
+}
+
+// build decodes code into the given arenas, one slot per instruction.
+func build(c *Func, m *ir.Method, code []ir.Instr, u *classfile.Universe, compiled bool, ops []uop, cold []uopCold) {
+	*c = Func{m: m, ops: ops, cold: cold, siteBase: uint64(m.Index()+1) << 16, compiled: compiled}
+	for i := range code {
+		decode(&ops[i], &cold[i], &code[i], i, u)
+	}
+	fuse(ops)
 }
 
 // decode pre-resolves one instruction into ops[i] and cold[i].
@@ -780,9 +815,9 @@ func decode(o *uop, d *uopCold, in *ir.Instr, pc int, u *classfile.Universe) {
 			case ir.CondGE:
 				o.mk = mkBrGEInt
 			default:
-				// The interpreter faults an unknown int condition at
-				// run time, before charging; the shape is static, so
-				// the trap can be pre-decoded.
+				// An unknown int condition faults at run time, before
+				// charging; the shape is static, so the trap can be
+				// pre-decoded.
 				d.fn = opBadCond
 			}
 		} else {
@@ -894,7 +929,7 @@ func fuse(ops []uop) {
 // prefetching, and the generic arithmetic/branch fallbacks. Each executes
 // with the thread accumulators synchronized by the dispatch loop (which
 // has already performed the budget check), then retires at perInstr plus
-// any memory stall — the interpreter's charge(), on locals.
+// any memory stall.
 
 func opBinGeneric(t *thread, u *uop, d *uopCold) int {
 	v, err := ir.EvalBinary(d.op, u.kind, t.regs[u.a], t.regs[u.b])
@@ -946,9 +981,8 @@ func opBrGeneric(t *thread, u *uop, d *uopCold) int {
 	return int(u.next)
 }
 
-// storeHeap widens by the stored value's kind, exactly like the
-// interpreter — the field's declared kind only sizes the simulated
-// memory access.
+// storeHeap widens by the stored value's kind — the field's declared kind
+// only sizes the simulated memory access.
 func storeHeap(t *thread, addr uint32, v value.Value) {
 	if wide(v.K) {
 		t.e.Heap.Store8(addr, v.B)
@@ -1013,11 +1047,10 @@ func opCallVirt(t *thread, u *uop, d *uopCold) int {
 }
 
 // callTo retires the call (issue + overhead), stages the arguments,
-// advances the frame past the call, and pushes the callee, yielding to
-// the engine's Run loop. A failed push (stack overflow) traps with the
-// call already charged and f.PC already advanced — the interpreter's
-// exact attribution. f.PC is written before the push because a push can
-// move the frame stack; t.f is stale after one until Step re-points it.
+// advances the frame past the call, and pushes the callee. A failed push
+// (stack overflow) traps with the call already charged and f.PC already
+// advanced. f.PC is written before the push because a push can move the
+// frame stack; t.f is stale after one until Step re-points it.
 func callTo(t *thread, u *uop, d *uopCold, callee *ir.Method) int {
 	t.cycles += t.perInstr + 4 // call overhead
 	t.instrs++
@@ -1068,7 +1101,7 @@ func opBadOp(t *thread, u *uop, d *uopCold) int {
 }
 
 // fusedSlow is the fused run's budget-edge path: per-op budget checks so
-// the trap lands on exactly the micro-op the interpreter would fault.
+// the trap lands on exactly the micro-op an unfused run would fault.
 func fusedSlow(t *thread, u *uop) int {
 	ops := t.ops
 	regs := t.regs

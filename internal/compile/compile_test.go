@@ -1,15 +1,16 @@
-// Differential tests for the compiled execution tier: every program runs
-// twice on otherwise identical engines — once through the interpreter loop
-// (Compiled code without a threaded artifact) and once through the
+// Differential tests for the threaded execution tier: every program runs
+// twice on otherwise identical engines — once through the reference
+// interpreter (refCode, one ir.Instr at a time) and once through the
 // pre-decoded micro-op stream — and the results, traps, and the full
-// cycle/instruction accounting must agree bit for bit. The VM always runs
-// compiled methods threaded, so this is where the tier is compared with
-// the interpreter loop directly, small enough to pin each micro-kind and
-// trap path individually.
+// cycle/instruction accounting must agree bit for bit, in each tier's
+// accounting. The VM runs every activation threaded, so this is where the
+// micro-ops are compared with the reference directly, small enough to pin
+// each micro-kind and trap path individually.
 package compile_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"strider/internal/arch"
@@ -23,34 +24,53 @@ import (
 	"strider/internal/value"
 )
 
-// interpDisp marks every method compiled but supplies no threaded
-// artifact, so Run uses the interpreter loop with compiled-tier
-// accounting — the exact baseline the threaded tier must reproduce.
-type interpDisp struct{}
+// tiers lists both execution tiers a differential test runs under: the
+// interpreted tier's accounting charges the machine's interpretation
+// penalty and credits nothing to the compiled-code counters.
+var tiers = []struct {
+	name     string
+	compiled bool
+}{{"interpreted", false}, {"compiled", true}}
 
-func (interpDisp) Invoke(m *ir.Method, args []value.Value) *interp.Code {
-	return &interp.Code{Instrs: m.Code, NumRegs: m.NumRegs, Compiled: true}
+// refDisp runs every method on the reference interpreter in one tier.
+type refDisp struct{ compiled bool }
+
+func (d refDisp) Invoke(m *ir.Method, args []value.Value) *interp.Code {
+	return &interp.Code{NumRegs: m.NumRegs, Threaded: &refCode{code: m.Code, compiled: d.compiled}}
 }
 
-// threadedDisp builds (and caches) a compile.Func for methods selected by
-// want; a nil want threads everything. Unselected methods interpret.
+// threadedDisp runs methods selected by want on threaded artifacts in one
+// tier, as the VM builds them: compile.BuildInterpreted's for interpreted
+// code, compile.Build's (cached) for compiled code. A nil want threads
+// everything; unselected methods run on the reference interpreter in the
+// same tier.
 type threadedDisp struct {
-	u     *classfile.Universe
-	want  func(*ir.Method) bool
-	codes map[*ir.Method]*interp.Code
+	p        *ir.Program
+	want     func(*ir.Method) bool
+	compiled bool
+	interp   []compile.Func
+	codes    map[*ir.Method]*interp.Code
 }
 
-func newThreadedDisp(u *classfile.Universe, want func(*ir.Method) bool) *threadedDisp {
-	return &threadedDisp{u: u, want: want, codes: make(map[*ir.Method]*interp.Code)}
+// newThreadedDisp builds p's interpreted artifacts, so p's code must be
+// final.
+func newThreadedDisp(p *ir.Program, want func(*ir.Method) bool, compiled bool) *threadedDisp {
+	return &threadedDisp{p: p, want: want, compiled: compiled,
+		interp: compile.BuildInterpreted(p), codes: make(map[*ir.Method]*interp.Code)}
 }
 
 func (d *threadedDisp) Invoke(m *ir.Method, args []value.Value) *interp.Code {
 	if c, ok := d.codes[m]; ok {
 		return c
 	}
-	c := &interp.Code{Instrs: m.Code, NumRegs: m.NumRegs, Compiled: true}
-	if d.want == nil || d.want(m) {
-		c.Threaded = compile.Build(m, m.Code, d.u)
+	var c *interp.Code
+	switch {
+	case d.want != nil && !d.want(m):
+		c = refDisp{d.compiled}.Invoke(m, args)
+	case d.compiled:
+		c = &interp.Code{NumRegs: m.NumRegs, Threaded: compile.Build(m, m.Code, d.p.Universe)}
+	default:
+		c = &interp.Code{NumRegs: m.NumRegs, Threaded: &d.interp[m.Index()]}
 	}
 	d.codes[m] = c
 	return c
@@ -73,47 +93,53 @@ func newLaneEngine(p *ir.Program, disp interp.Dispatcher, slow bool) *interp.Eng
 	return e
 }
 
-// runBoth executes a freshly built program under both execution tiers and
-// fails the test on any divergence in result, trap, or accounting. It
-// returns the (identical) stats and error for extra assertions.
+// runBoth executes a freshly built program under the reference and the
+// threaded tier, once per tier's accounting, and fails the test on any
+// divergence in result, trap, or accounting. It returns the (identical)
+// stats and error of the compiled run for extra assertions.
 func runBoth(t *testing.T, build func() *ir.Program, args []value.Value) (interp.Stats, error) {
 	t.Helper()
-	return runBothLane(t, build, args, false)
+	runBothLane(t, build, args, false, false)
+	return runBothLane(t, build, args, false, true)
 }
 
-// runBothLane is runBoth on the memory lane slow selects.
-func runBothLane(t *testing.T, build func() *ir.Program, args []value.Value, slow bool) (interp.Stats, error) {
+// runBothLane is one tier of runBoth on the memory lane slow selects.
+// An interpreted run must credit nothing to the compiled-code counters.
+func runBothLane(t *testing.T, build func() *ir.Program, args []value.Value, slow, compiled bool) (interp.Stats, error) {
 	t.Helper()
 	pi := build()
-	ei := newLaneEngine(pi, interpDisp{}, slow)
+	ei := newLaneEngine(pi, refDisp{compiled}, slow)
 	ri, erri := ei.Run(pi.Entry, args)
 
 	pc := build()
-	ec := newLaneEngine(pc, newThreadedDisp(pc.Universe, nil), slow)
+	ec := newLaneEngine(pc, newThreadedDisp(pc, nil, compiled), slow)
 	rc, errc := ec.Run(pc.Entry, args)
 
 	if ri != rc {
-		t.Errorf("result diverged: interp %v, compiled %v", ri, rc)
+		t.Errorf("result diverged: reference %v, threaded %v", ri, rc)
 	}
 	diffErr(t, erri, errc)
 	diffStats(t, ei.S, ec.S)
+	if !compiled && (ec.S.CompiledCycles != 0 || ec.S.CompiledInstructions != 0) {
+		t.Errorf("interpreted run credited compiled code: %+v", ec.S)
+	}
 	return ec.S, errc
 }
 
 func diffErr(t *testing.T, erri, errc error) {
 	t.Helper()
 	if (erri == nil) != (errc == nil) {
-		t.Fatalf("trap diverged: interp %v, compiled %v", erri, errc)
+		t.Fatalf("trap diverged: reference %v, threaded %v", erri, errc)
 	}
 	if erri == nil {
 		return
 	}
 	var ri, rc *interp.RuntimeError
 	if !errors.As(erri, &ri) || !errors.As(errc, &rc) {
-		t.Fatalf("non-runtime error: interp %v, compiled %v", erri, errc)
+		t.Fatalf("non-runtime error: reference %v, threaded %v", erri, errc)
 	}
 	if ri.Method.QName() != rc.Method.QName() || ri.PC != rc.PC || ri.Err.Error() != rc.Err.Error() {
-		t.Errorf("trap attribution diverged:\n interp  %s@%d: %v\n compiled %s@%d: %v",
+		t.Errorf("trap attribution diverged:\n reference %s@%d: %v\n threaded  %s@%d: %v",
 			ri.Method.QName(), ri.PC, ri.Err, rc.Method.QName(), rc.PC, rc.Err)
 	}
 }
@@ -121,7 +147,7 @@ func diffErr(t *testing.T, erri, errc error) {
 func diffStats(t *testing.T, a, b interp.Stats) {
 	t.Helper()
 	if a != b {
-		t.Errorf("stats diverged:\n interp   %+v\n compiled %+v", a, b)
+		t.Errorf("stats diverged:\n reference %+v\n threaded  %+v", a, b)
 	}
 }
 
@@ -389,28 +415,132 @@ func TestCallsNestedCompiled(t *testing.T) {
 	}
 }
 
-// TestMixedTiers threads only a subset of methods, so compiled frames call
-// into interpreted callees (the ctrlCall yield to Run) and interpreted
-// frames call into compiled ones.
+// TestMixedTiers threads only a subset of methods, so threaded frames call
+// into reference callees (the ctrlCall yield to Run) and reference frames
+// call into threaded ones, in each tier's accounting.
 func TestMixedTiers(t *testing.T) {
 	for name, want := range map[string]func(*ir.Method) bool{
 		"threaded-caller": func(m *ir.Method) bool { return m.Name == "main" },
 		"threaded-callee": func(m *ir.Method) bool { return m.Name != "main" },
 	} {
 		t.Run(name, func(t *testing.T) {
-			pi := callProg()
-			ei := newEngine(pi, interpDisp{})
-			ri, erri := ei.Run(pi.Entry, nil)
+			for _, tier := range tiers {
+				pi := callProg()
+				ei := newEngine(pi, refDisp{tier.compiled})
+				ri, erri := ei.Run(pi.Entry, nil)
 
-			pm := callProg()
-			em := newEngine(pm, newThreadedDisp(pm.Universe, want))
-			rm, errm := em.Run(pm.Entry, nil)
+				pm := callProg()
+				em := newEngine(pm, newThreadedDisp(pm, want, tier.compiled))
+				rm, errm := em.Run(pm.Entry, nil)
 
-			if ri != rm {
-				t.Errorf("result diverged: interp %v, mixed %v", ri, rm)
+				if ri != rm {
+					t.Errorf("%s: result diverged: reference %v, mixed %v", tier.name, ri, rm)
+				}
+				diffErr(t, erri, errm)
+				diffStats(t, ei.S, em.S)
 			}
-			diffErr(t, erri, errm)
-			diffStats(t, ei.S, em.S)
+		})
+	}
+	t.Run("recompile", testRecompile)
+}
+
+// recompileDisp is the VM's dispatch shape: every method starts
+// interpreted and switches to compiled code at its nth invocation. Frames
+// pushed before the switch keep their interpreted artifact. A threaded
+// dispatcher hands out the VM's artifacts; otherwise both tiers run on
+// the reference.
+type recompileDisp struct {
+	n        int
+	threaded bool
+	interp   *threadedDisp
+	compiled *threadedDisp
+	counts   map[*ir.Method]int
+}
+
+func newRecompileDisp(p *ir.Program, n int, threaded bool) *recompileDisp {
+	return &recompileDisp{n: n, threaded: threaded, counts: make(map[*ir.Method]int),
+		interp: newThreadedDisp(p, nil, false), compiled: newThreadedDisp(p, nil, true)}
+}
+
+func (d *recompileDisp) Invoke(m *ir.Method, args []value.Value) *interp.Code {
+	d.counts[m]++
+	compiled := d.counts[m] >= d.n
+	switch {
+	case !d.threaded:
+		return refDisp{compiled}.Invoke(m, args)
+	case compiled:
+		return d.compiled.Invoke(m, args)
+	}
+	return d.interp.Invoke(m, args)
+}
+
+// recProg is main calling rec(6), where rec(n) returns rec(n-1) + leaf(n)
+// and rec(0) returns 0: a recursion that calls a second method on the way
+// back up.
+func recProg() *ir.Program {
+	p := ir.NewProgram(classfile.NewUniverse())
+	var leaf, rec *ir.Method
+	{
+		b := ir.NewBuilder(p, nil, "leaf", value.KindInt, value.KindInt)
+		n := b.Param(0)
+		r := b.Arith(ir.OpMul, value.KindInt, n, n)
+		b.Sink(r)
+		b.Return(r)
+		leaf = b.Finish()
+	}
+	{
+		b := ir.NewBuilder(p, nil, "rec", value.KindInt, value.KindInt)
+		n := b.Param(0)
+		bottom := b.NewLabel()
+		b.BrIntZero(ir.CondEQ, n, bottom)
+		r := b.Call(b.Self(), b.AddInt(n, b.ConstInt(-1)))
+		x := b.Call(leaf, n)
+		sum := b.AddInt(r, x)
+		b.Return(sum)
+		b.Bind(bottom)
+		b.Return(b.ConstInt(0))
+		rec = b.Finish()
+	}
+	{
+		b := ir.NewBuilder(p, nil, "main", value.KindInt)
+		b.Return(b.Call(rec, b.ConstInt(6)))
+		p.Entry = b.Finish()
+	}
+	return p
+}
+
+// testRecompile switches methods from interpreted to compiled at their nth
+// invocation, for every n that lands inside the recursion. With rec(6)
+// recursing seven deep, live interpreted frames of rec sit under compiled
+// ones; the compiled rec frames call leaf while it is still interpreted,
+// and the interpreted ones call it once it is compiled, so calls and
+// returns cross tiers in both directions.
+func testRecompile(t *testing.T) {
+	const want = 91 // 1² + 2² + ... + 6²
+	for n := 1; n <= 8; n++ {
+		t.Run(fmt.Sprintf("at-%d", n), func(t *testing.T) {
+			run := func(threaded bool) (value.Value, interp.Stats, error) {
+				p := recProg()
+				e := newEngine(p, newRecompileDisp(p, n, threaded))
+				r, err := e.Run(p.Entry, nil)
+				return r, e.S, err
+			}
+			ri, si, erri := run(false)
+			rc, sc, errc := run(true)
+			diffErr(t, erri, errc)
+			if errc != nil {
+				t.Fatal(errc)
+			}
+			if ri != rc || rc.Int() != want {
+				t.Errorf("results: reference %v, threaded %v, want %d", ri, rc, want)
+			}
+			diffStats(t, si, sc)
+			// rec runs seven activations: n = 1 compiles everything, n = 8
+			// nothing, and every n between mixes the tiers.
+			compiled, mixed := sc.CompiledCycles == sc.Cycles, 0 < sc.CompiledCycles && sc.CompiledCycles < sc.Cycles
+			if (n == 1 && !compiled) || (n > 1 && n < 8 && !mixed) || (n == 8 && sc.CompiledCycles != 0) {
+				t.Errorf("%d of %d cycles compiled", sc.CompiledCycles, sc.Cycles)
+			}
 		})
 	}
 }
@@ -515,7 +645,7 @@ func TestDeepRecursionGrowsStack(t *testing.T) {
 	// bottom's chain walk and the returns up the stack each add
 	// depth + ... + 1 + 0.
 	p := build()
-	got, err := newEngine(p, newThreadedDisp(p.Universe, nil)).Run(p.Entry, args)
+	got, err := newEngine(p, newThreadedDisp(p, nil, true)).Run(p.Entry, args)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +661,7 @@ func TestAllocationChurn(t *testing.T) {
 		p := ir.NewProgram(classfile.NewUniverse())
 		b := ir.NewBuilder(p, nil, "main", value.KindInt)
 		// Allocate far more than the 1 MiB heap holds, keeping nothing
-		// live: the compiled tier's flush/reload around AllocArray (and
+		// live: the micro-ops' flush/reload around AllocArray (and
 		// any GC it triggers) must keep accounting identical.
 		n := b.ConstInt(4000)
 		sz := b.ConstInt(256)
@@ -571,9 +701,9 @@ func (s *siteCounter) Site(telemetry.SiteEvent) { s.sites++ }
 func TestRecorderAttribution(t *testing.T) {
 	run := func(threaded bool) (value.Value, interp.Stats, int, error) {
 		p := fieldProg()
-		var disp interp.Dispatcher = interpDisp{}
+		var disp interp.Dispatcher = refDisp{true}
 		if threaded {
-			disp = newThreadedDisp(p.Universe, nil)
+			disp = newThreadedDisp(p, nil, true)
 		}
 		e := newEngine(p, disp)
 		rec := &siteCounter{}
@@ -592,6 +722,6 @@ func TestRecorderAttribution(t *testing.T) {
 	}
 	diffStats(t, si, sc)
 	if ni != nc {
-		t.Errorf("flushed %d site events interpreted, %d compiled", ni, nc)
+		t.Errorf("flushed %d site events on the reference, %d threaded", ni, nc)
 	}
 }

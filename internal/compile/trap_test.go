@@ -1,7 +1,8 @@
-// Trap-path differential tests: every fault the interpreter can raise must
-// surface from the threaded tier with the same cause, the same pc, and the
-// same accounting — including faults reached mid-way through a fused run
-// and ops the builder never emits (pre-decoded trap shapes).
+// Trap-path differential tests: every fault the reference interpreter can
+// raise must surface from the threaded micro-ops with the same cause, the
+// same pc, and the same accounting, in both tiers — including faults
+// reached mid-way through a fused run and ops the builder never emits
+// (pre-decoded trap shapes).
 package compile_test
 
 import (
@@ -70,6 +71,8 @@ func trapProg(fault string) func() *ir.Program {
 			b.NewArray(value.KindInt, neg)
 		case "newarray-badsize":
 			b.NewArray(value.KindInt, null)
+		case "newarray-oom":
+			b.NewArray(value.KindLong, b.ConstInt(1<<20))
 		case "callvirt-null":
 			b.CallVirt("anything", false, null)
 		case "callvirt-nonref":
@@ -91,18 +94,21 @@ func TestHeapTrapParity(t *testing.T) {
 		"arrayload-null", "arrayload-nonref", "arrayload-badindex",
 		"arrayload-oob", "arrayload8-oob",
 		"arraystore-null", "arraystore-oob",
-		"newarray-negative", "newarray-badsize",
+		"newarray-negative", "newarray-badsize", "newarray-oom",
 		"callvirt-null", "callvirt-nonref",
 	}
-	// Every fault shape runs under both memory lanes: traps interleave
-	// with memory accesses (a putfield trap follows the object's header
-	// loads), so attribution must not depend on which lane served them.
+	// Every fault shape runs under both memory lanes and in both tiers:
+	// traps interleave with memory accesses (a putfield trap follows the
+	// object's header loads), so attribution must not depend on which lane
+	// served them or which tier's accounting ran.
 	run := func(t *testing.T, slow bool) {
 		for _, fault := range faults {
 			t.Run(fault, func(t *testing.T) {
-				_, err := runBothLane(t, trapProg(fault), nil, slow)
-				if err == nil {
-					t.Fatalf("%s did not trap", fault)
+				for _, tier := range tiers {
+					_, err := runBothLane(t, trapProg(fault), nil, slow, tier.compiled)
+					if err == nil {
+						t.Fatalf("%s did not trap %s", fault, tier.name)
+					}
 				}
 			})
 		}
@@ -124,8 +130,9 @@ func TestBoundsMessageCarriesIndexAndLength(t *testing.T) {
 // TestBudgetTrapSweep runs a loop under every instruction budget from 1 to
 // just past the loop's full retirement. Each budget lands the trap on a
 // different micro-op — loop-top checks, fused-head overshoots into
-// fusedSlow, mid-call boundaries — and interp and compiled must agree on
-// the pc, the cause, and the retired counts at every single one.
+// fusedSlow, mid-call boundaries — and the reference and the threaded
+// micro-ops must agree on the pc, the cause, and the retired counts at
+// every single one, in both tiers.
 func TestBudgetTrapSweep(t *testing.T) {
 	build := func() *ir.Program {
 		u := classfile.NewUniverse()
@@ -177,7 +184,7 @@ func TestBudgetTrapSweep(t *testing.T) {
 
 	// Full retirement without a budget first, to size the sweep.
 	pFull := build()
-	eFull := newEngine(pFull, interpDisp{})
+	eFull := newEngine(pFull, refDisp{true})
 	if _, err := eFull.Run(pFull.Entry, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -186,20 +193,21 @@ func TestBudgetTrapSweep(t *testing.T) {
 	// The sweep runs once per memory lane: the default fast lane (the
 	// engines pin *memsim.Memory and take the inline L1 hit probes) and,
 	// with the simulator hidden behind the interface (newLaneEngine), the
-	// pure MemModel interface path. Interp and compiled must agree at every budget within each
-	// lane, and the per-budget stats recorded by the two sweeps must match
-	// across lanes — lane choice is a wiring-time optimisation and must
-	// never be observable, least of all mid-trap.
-	sweep := func(t *testing.T, slow bool) []interp.Stats {
+	// pure MemModel interface path. Within each lane and tier the
+	// reference and the threaded micro-ops must agree at every budget, and
+	// the per-budget stats recorded by the two lanes' sweeps must match —
+	// lane choice is a wiring-time optimisation and must never be
+	// observable, least of all mid-trap.
+	sweep := func(t *testing.T, slow, compiled bool) []interp.Stats {
 		stats := make([]interp.Stats, 0, full+1)
 		for budget := uint64(1); budget <= full+1; budget++ {
 			pi := build()
-			ei := newLaneEngine(pi, interpDisp{}, slow)
+			ei := newLaneEngine(pi, refDisp{compiled}, slow)
 			ei.MaxInstructions = budget
 			ri, erri := ei.Run(pi.Entry, nil)
 
 			pc := build()
-			ec := newLaneEngine(pc, newThreadedDisp(pc.Universe, nil), slow)
+			ec := newLaneEngine(pc, newThreadedDisp(pc, nil, compiled), slow)
 			ec.MaxInstructions = budget
 			rc, errc := ec.Run(pc.Entry, nil)
 
@@ -221,16 +229,27 @@ func TestBudgetTrapSweep(t *testing.T) {
 		}
 		return stats
 	}
-	var fast, slow []interp.Stats
-	t.Run("fastlane", func(t *testing.T) { fast = sweep(t, false) })
-	t.Run("slowlane", func(t *testing.T) { slow = sweep(t, true) })
+	// fast[i] and slow[i] hold tier i's sweep on each lane.
+	fast := make([][]interp.Stats, len(tiers))
+	slow := make([][]interp.Stats, len(tiers))
+	lane := func(out [][]interp.Stats, slow bool) func(*testing.T) {
+		return func(t *testing.T) {
+			for i, tier := range tiers {
+				t.Run(tier.name, func(t *testing.T) { out[i] = sweep(t, slow, tier.compiled) })
+			}
+		}
+	}
+	t.Run("fastlane", lane(fast, false))
+	t.Run("slowlane", lane(slow, true))
 	if t.Failed() {
 		return
 	}
-	for i := range fast {
-		if fast[i] != slow[i] {
-			t.Errorf("budget %d: stats diverged across lanes:\n fast %+v\n slow %+v",
-				i+1, fast[i], slow[i])
+	for i, tier := range tiers {
+		for b := range fast[i] {
+			if fast[i][b] != slow[i][b] {
+				t.Errorf("%s, budget %d: stats diverged across lanes:\n fast %+v\n slow %+v",
+					tier.name, b+1, fast[i][b], slow[i][b])
+			}
 		}
 	}
 }
@@ -280,6 +299,13 @@ func TestPatchedOpEdges(t *testing.T) {
 			},
 			wantErr: "", // interp faults lazily; see below
 		},
+		"bad-kind-cond": {
+			patch: func(m *ir.Method, at int, s []ir.Reg) {
+				m.Code[at] = ir.Instr{Op: ir.OpBr, Kind: value.KindSpecRef,
+					Cond: ir.CondEQ, A: s[0], B: s[0], Target: at + 1}
+			},
+			wantErr: ir.ErrBadOperand.Error(),
+		},
 		"ref-cond-lt": {
 			patch: func(m *ir.Method, at int, s []ir.Reg) {
 				m.Code[at] = ir.Instr{Op: ir.OpBr, Kind: value.KindRef,
@@ -313,23 +339,27 @@ func TestPatchedOpEdges(t *testing.T) {
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			_, err := runBoth(t, patchedProg(tc.patch), nil)
-			if tc.wantErr == "" && name != "unknown-int-cond" {
-				if err != nil {
-					t.Fatalf("unexpected trap: %v", err)
-				}
-				return
-			}
-			if name == "unknown-int-cond" || name == "ref-cond-lt" {
-				// Both shapes must trap identically (parity already
-				// checked by runBoth); the exact cause is EvalCond's.
-				if err == nil {
-					t.Fatal("bad condition did not trap")
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("err = %v, want substring %q", err, tc.wantErr)
+			for _, tier := range tiers {
+				t.Run(tier.name, func(t *testing.T) {
+					_, err := runBothLane(t, patchedProg(tc.patch), nil, false, tier.compiled)
+					if tc.wantErr == "" && name != "unknown-int-cond" {
+						if err != nil {
+							t.Fatalf("unexpected trap: %v", err)
+						}
+						return
+					}
+					if name == "unknown-int-cond" || name == "ref-cond-lt" {
+						// Both shapes must trap identically (parity already
+						// checked by runBothLane); the exact cause is EvalCond's.
+						if err == nil {
+							t.Fatal("bad condition did not trap")
+						}
+						return
+					}
+					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+						t.Fatalf("err = %v, want substring %q", err, tc.wantErr)
+					}
+				})
 			}
 		})
 	}

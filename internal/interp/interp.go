@@ -1,22 +1,22 @@
-// Package interp is the execution engine of the simulated VM. It executes
-// IR — baseline or prefetch-augmented — over the simulated heap, routing
-// every memory access through the machine's memory-system model and
-// accounting cycles with the machine's timing model.
+// Package interp holds the execution engine state of the simulated VM and
+// the execution primitives every activation shares. It runs IR — baseline
+// or prefetch-augmented — over the simulated heap, routing every memory
+// access through the machine's memory-system model and accounting cycles
+// with the machine's timing model.
 //
-// The engine runs both interpreted and JIT-compiled activations (the
-// dispatcher decides per invocation); interpreted instructions pay the
-// machine's interpretation penalty, which is how the mixed-mode
-// compiled-code fractions of Table 3 arise. Interpreted activations run
-// on the engine's step loop. The VM hands every JIT-compiled activation
-// a threaded artifact (internal/compile), which Run steps instead; the
-// step loop's compiled accounting remains the reference that artifact is
-// tested against.
+// The engine owns the frame stack, the heap and GC interplay, the
+// prefetch address guard, per-site attribution and the run's statistics.
+// It does not decode IR itself: the dispatcher hands every activation a
+// ThreadedCode, and Run steps it. The VM's artifacts are the pre-decoded
+// micro-op streams of internal/compile, interpreted or JIT-compiled; an
+// interpreted activation pays the machine's interpretation penalty per
+// instruction and is not credited to the compiled-code counters, which is
+// how the mixed-mode compiled-code fractions of Table 3 arise.
 package interp
 
 import (
 	"errors"
 	"fmt"
-
 	"sort"
 
 	"strider/internal/arch"
@@ -61,27 +61,23 @@ func (FlatMem) Prefetch(addr uint32, guarded bool, now uint64) telemetry.Prefetc
 
 // Code is an executable method body as chosen by the dispatcher.
 type Code struct {
-	Instrs   []ir.Instr
-	NumRegs  int
-	Compiled bool
+	NumRegs int
 
-	// Threaded, when non-nil, is the method's pre-decoded micro-op stream.
-	// The VM builds one (internal/compile) for every method it
-	// JIT-compiles, and Run steps it in place of the interpreter loop.
-	// Interpreted code has none, so interpreted activations — including
-	// ones pushed before their method was compiled — run the step loop.
-	// Instrs stays authoritative for trap attribution. A Compiled code
-	// with no artifact runs the step loop with compiled accounting: the
-	// reference the threaded tier's differential tests compare against.
+	// Threaded executes the method's activations in the tier the
+	// dispatcher chose (the VM's are internal/compile artifacts). A frame
+	// keeps the Threaded it was pushed with, so activations pushed before
+	// their method was JIT-compiled finish in the interpreted tier. It
+	// must be non-nil.
 	Threaded ThreadedCode
 }
 
 // ThreadedCode executes activations of one method from a pre-decoded
-// representation. Step has the exact contract of the interpreter's step:
-// execute the top frame f until it returns (done=true with the return
-// value), calls (a new frame pushed, done=false), or traps (err non-nil
-// with f.PC at the faulting instruction, so Run's RuntimeError wrapping
-// attributes it identically).
+// representation. Step executes from the top frame f until that frame
+// returns (done=true with the return value), a call yields (a new frame
+// pushed, done=false), or a trap (err non-nil with the faulting frame on
+// top and its PC at the faulting instruction, which Run wraps in a
+// RuntimeError). Step may run callees nested and pop their frames itself,
+// as long as the engine's frame stack stays authoritative.
 type ThreadedCode interface {
 	Step(e *Engine, f *Frame) (value.Value, bool, error)
 }
@@ -128,21 +124,18 @@ const initialFrames = 8
 // DefaultMaxInstructions bounds runaway programs.
 const DefaultMaxInstructions = 4_000_000_000
 
-// Frame is one activation record. Its fields are exported so the compiled
-// execution tier (internal/compile) can run activations of the same stack;
-// VM-internal invariants (stack growth, register reuse) are owned by
-// push and Run.
+// Frame is one activation record. Its fields are exported so executors
+// (internal/compile) can run activations of the engine's stack; the
+// invariants of stack growth and register reuse are owned by PushCall and
+// Run.
 type Frame struct {
-	M        *ir.Method
-	Code     []ir.Instr
-	Compiled bool
-	PC       int
-	Regs     []value.Value
-	RetReg   ir.Reg // caller register receiving the return value
+	M      *ir.Method
+	PC     int
+	Regs   []value.Value
+	RetReg ir.Reg // caller register receiving the return value
 
-	// threaded is the frame's pre-decoded micro-op executor, set at push
-	// time when the dispatched Code carries one; Run steps it instead of
-	// the interpreter loop.
+	// threaded is the frame's executor, set at push time from the
+	// dispatched Code.
 	threaded ThreadedCode
 }
 
@@ -182,14 +175,14 @@ type Engine struct {
 	S Stats
 
 	// ExecScratch is opaque per-engine scratch storage for a ThreadedCode
-	// implementation. The compiled tier parks its reusable thread state
+	// implementation. internal/compile parks its reusable thread state
 	// here so steady-state Step calls allocate nothing; the engine never
 	// reads it.
 	ExecScratch any
 
 	// fastMem pins Mem's concrete type when it is the standard simulator,
 	// enabling the devirtualized inline-probe hit lane at the engine's
-	// memory-access sites (and the compiled tier's, via FastMem): probe
+	// memory-access sites (and the executors', via FastMem): probe
 	// memsim.LoadHit/StoreHit inline, fall into the full access as a
 	// direct — not interface — call. nil routes every access through the
 	// MemModel interface: any other model (oracle taps, test doubles,
@@ -198,8 +191,8 @@ type Engine struct {
 	// wiring, never per access.
 	fastMem *memsim.Memory
 
-	// frames is the activation stack. It starts at initialFrames and push
-	// doubles it (up to MaxFrames) when a call reaches past its capacity,
+	// frames is the activation stack. It starts at initialFrames and
+	// PushCall doubles it (up to MaxFrames) when a call reaches past its capacity,
 	// so a *Frame is only valid until the next push: holders re-fetch the
 	// top frame after any call. Popped frames keep their register slices
 	// for reuse, and growth carries them over, so once the stack has
@@ -248,8 +241,9 @@ func (e *Engine) SetMem(m MemModel) {
 }
 
 // FastMem returns the pinned concrete memory simulator, or nil when
-// accesses must take the MemModel interface path. The compiled tier
-// routes its memory micro-ops through it exactly like step does.
+// accesses must take the MemModel interface path. Executors route their
+// memory accesses through it: probe LoadHit/StoreHit inline, fall back to
+// the full access on a miss.
 func (e *Engine) FastMem() *memsim.Memory { return e.fastMem }
 
 // ResetStats clears the per-run statistics and the site attribution.
@@ -258,8 +252,9 @@ func (e *Engine) ResetStats() {
 	e.sites = nil
 }
 
-// notePrefetch attributes one prefetch outcome to its emitting site.
-func (e *Engine) notePrefetch(m *ir.Method, site int, out telemetry.PrefetchOutcome) {
+// NotePrefetch attributes one prefetch outcome to its emitting site.
+// Callers guard on e.Rec != nil.
+func (e *Engine) NotePrefetch(m *ir.Method, site int, out telemetry.PrefetchOutcome) {
 	a := e.siteAggFor(siteKey{m: m, site: site, prefetch: true})
 	a.issued++
 	switch out {
@@ -270,8 +265,9 @@ func (e *Engine) notePrefetch(m *ir.Method, site int, out telemetry.PrefetchOutc
 	}
 }
 
-// noteLoad attributes one demand load's stall cycles to its pc.
-func (e *Engine) noteLoad(m *ir.Method, pc int, stall uint64) {
+// NoteLoad attributes one demand load's stall cycles to its pc. Callers
+// guard on e.Rec != nil.
+func (e *Engine) NoteLoad(m *ir.Method, pc int, stall uint64) {
 	a := e.siteAggFor(siteKey{m: m, site: pc})
 	a.count++
 	a.stall += stall
@@ -326,12 +322,10 @@ func (e *Engine) FlushSites() {
 	e.sites = nil
 }
 
-// lineBytes returns the allocation-touch granule.
-func (e *Engine) lineBytes() uint32 { return e.Machine.L1D.LineBytes }
-
-// push dispatches m and pushes its activation, growing a full stack first
-// (see frames): a *Frame taken before the push is stale afterwards.
-func (e *Engine) push(m *ir.Method, args []value.Value, retReg ir.Reg) error {
+// PushCall dispatches m (counting the invocation through the Dispatcher)
+// and pushes its activation, growing a full stack first (see frames): a
+// *Frame taken before the push is stale afterwards.
+func (e *Engine) PushCall(m *ir.Method, args []value.Value, retReg ir.Reg) error {
 	n := len(e.frames)
 	if n >= MaxFrames {
 		return ErrStackOverflow
@@ -345,8 +339,6 @@ func (e *Engine) push(m *ir.Method, args []value.Value, retReg ir.Reg) error {
 	e.frames = e.frames[:n+1]
 	f := &e.frames[n]
 	f.M = m
-	f.Code = code.Instrs
-	f.Compiled = code.Compiled
 	f.threaded = code.Threaded
 	f.PC = 0
 	f.RetReg = retReg
@@ -389,8 +381,9 @@ func (e *Engine) collect() {
 	}
 }
 
-// allocObject allocates with GC-on-demand and charges allocation traffic.
-func (e *Engine) allocObject(c *classfile.Class) (uint32, error) {
+// AllocObject allocates an instance of c with GC-on-demand, charging
+// allocation traffic (and GC cost, when one runs) to e.S.Cycles directly.
+func (e *Engine) AllocObject(c *classfile.Class) (uint32, error) {
 	addr, err := e.Heap.AllocObject(c)
 	if err != nil {
 		e.collect()
@@ -403,7 +396,8 @@ func (e *Engine) allocObject(c *classfile.Class) (uint32, error) {
 	return addr, nil
 }
 
-func (e *Engine) allocArray(k value.Kind, n uint32) (uint32, error) {
+// AllocArray allocates a k[n] array with GC-on-demand; see AllocObject.
+func (e *Engine) AllocArray(k value.Kind, n uint32) (uint32, error) {
 	addr, err := e.Heap.AllocArray(k, n)
 	if err != nil {
 		e.collect()
@@ -422,7 +416,7 @@ func (e *Engine) allocArray(k value.Kind, n uint32) (uint32, error) {
 // hit lane — the probe still saves the interface dispatch on it.
 func (e *Engine) touchAlloc(addr, size uint32) {
 	e.S.AllocBytes += uint64(size)
-	line := e.lineBytes()
+	line := e.Machine.L1D.LineBytes
 	fm := e.fastMem
 	for off := uint32(0); off < size; off += line {
 		var stall uint64
@@ -438,8 +432,8 @@ func (e *Engine) touchAlloc(addr, size uint32) {
 	}
 }
 
-// sink folds a value into the run checksum (FNV-1a over the payload).
-func (e *Engine) sink(v value.Value) {
+// Sink folds v into the run checksum (FNV-1a over the payload).
+func (e *Engine) Sink(v value.Value) {
 	h := e.S.Checksum
 	if h == 0 {
 		h = 1469598103934665603
@@ -458,33 +452,23 @@ func (e *Engine) Run(entry *ir.Method, args []value.Value) (value.Value, error) 
 			entry.QName(), len(entry.Params), len(args))
 	}
 	e.frames = e.frames[:0]
-	if err := e.push(entry, args, ir.NoReg); err != nil {
+	if err := e.PushCall(entry, args, ir.NoReg); err != nil {
 		return value.Value{}, err
 	}
 	var result value.Value
 	for len(e.frames) > 0 {
 		f := &e.frames[len(e.frames)-1]
-		var (
-			v    value.Value
-			done bool
-			err  error
-		)
-		if f.threaded != nil {
-			v, done, err = f.threaded.Step(e, f)
-		} else {
-			v, done, err = e.step(f)
-		}
+		v, done, err := f.threaded.Step(e, f)
 		if err != nil {
-			// A threaded Step may have pushed into deeper compiled frames
-			// without returning here; the faulting frame is whatever is on
-			// top now (for the interpreter loop that is always f itself).
+			// Step may have pushed into nested frames without returning
+			// here; the faulting frame is whatever is on top now.
 			ft := &e.frames[len(e.frames)-1]
 			return value.Value{}, &RuntimeError{Method: ft.M, PC: ft.PC, Err: err}
 		}
 		if done {
-			// f may be stale: a threaded Step can push nested frames and
-			// grow the stack before its own frame returns. The returning
-			// frame is the top one now.
+			// f may be stale: Step can push nested frames and grow the
+			// stack before its own frame returns. The returning frame is
+			// the top one now.
 			if len(e.frames) == 1 {
 				e.frames = e.frames[:0]
 				result = v
@@ -496,353 +480,11 @@ func (e *Engine) Run(entry *ir.Method, args []value.Value) (value.Value, error) 
 	return result, nil
 }
 
-// charge accounts one retired instruction.
-func (e *Engine) charge(compiled bool, extra uint64) {
-	cost := e.Machine.IssueCycles + extra
-	if !compiled {
-		cost += e.Machine.InterpPenalty
-	}
-	e.S.Cycles += cost
-	e.S.Instructions++
-	if compiled {
-		e.S.CompiledCycles += cost
-		e.S.CompiledInstructions++
-	}
-}
-
-// step executes instructions of the top frame until it returns, calls, or
-// traps. Returning done=true with a value pops the frame.
-//
-// The loop is the hot path of every simulation: per-instruction state
-// (pc, issue cost, interpretation penalty, telemetry presence) lives in
-// locals hoisted out of the loop, the dense Op switch compiles to a jump
-// table, and the common int arithmetic/branch ops are evaluated inline
-// instead of going through the ir.EvalBinary/EvalCond kind-dispatch
-// chains. f.PC is synchronized on every exit so trap attribution
-// (RuntimeError.PC) is identical to the straightforward implementation.
-func (e *Engine) step(f *Frame) (value.Value, bool, error) {
-	code := f.Code
-	regs := f.Regs
-	pc := f.PC
-	compiled := f.Compiled
-	// siteBase makes load-site pcs globally unique and deterministic:
-	// (method index + 1) << 16 keeps pc 0 reserved for "no stable site"
-	// and gives each method a private 64K instruction-index window.
-	siteBase := uint64(f.M.Index()+1) << 16
-	maxInstr := e.MaxInstructions
-	perInstr := e.Machine.IssueCycles
-	if !compiled {
-		perInstr += e.Machine.InterpPenalty
-	}
-	rec := e.Rec != nil
-	// fm != nil routes the memory ops below through the inline-probe hit
-	// lane with a devirtualized fallback; nil is the fully general
-	// interface path. See the fastMem field.
-	fm := e.fastMem
-
-	// fail synchronizes the faulting pc and returns the trap.
-	fail := func(err error) (value.Value, bool, error) {
-		f.PC = pc
-		return value.Value{}, false, err
-	}
-	// charge accounts one retired instruction at cost perInstr+extra.
-	charge := func(extra uint64) {
-		cost := perInstr + extra
-		e.S.Cycles += cost
-		e.S.Instructions++
-		if compiled {
-			e.S.CompiledCycles += cost
-			e.S.CompiledInstructions++
-		}
-	}
-
-	for {
-		if e.S.Instructions >= maxInstr {
-			return fail(ErrBudget)
-		}
-		in := &code[pc]
-		next := pc + 1
-		var memStall uint64
-
-		switch in.Op {
-		case ir.OpNop:
-		case ir.OpConst:
-			regs[in.Dst] = constValue(in)
-		case ir.OpMove:
-			regs[in.Dst] = regs[in.A]
-		case ir.OpAdd:
-			if in.Kind == value.KindInt {
-				regs[in.Dst] = value.Int(regs[in.A].Int() + regs[in.B].Int())
-			} else {
-				v, err := ir.EvalBinary(in.Op, in.Kind, regs[in.A], regs[in.B])
-				if err != nil {
-					return fail(err)
-				}
-				regs[in.Dst] = v
-			}
-		case ir.OpSub:
-			if in.Kind == value.KindInt {
-				regs[in.Dst] = value.Int(regs[in.A].Int() - regs[in.B].Int())
-			} else {
-				v, err := ir.EvalBinary(in.Op, in.Kind, regs[in.A], regs[in.B])
-				if err != nil {
-					return fail(err)
-				}
-				regs[in.Dst] = v
-			}
-		case ir.OpMul:
-			if in.Kind == value.KindInt {
-				regs[in.Dst] = value.Int(regs[in.A].Int() * regs[in.B].Int())
-			} else {
-				v, err := ir.EvalBinary(in.Op, in.Kind, regs[in.A], regs[in.B])
-				if err != nil {
-					return fail(err)
-				}
-				regs[in.Dst] = v
-			}
-		case ir.OpDiv, ir.OpRem, ir.OpAnd, ir.OpOr,
-			ir.OpXor, ir.OpShl, ir.OpShr, ir.OpUshr:
-			v, err := ir.EvalBinary(in.Op, in.Kind, regs[in.A], regs[in.B])
-			if err != nil {
-				return fail(err)
-			}
-			regs[in.Dst] = v
-		case ir.OpNeg:
-			v, err := ir.EvalUnary(in.Op, in.Kind, regs[in.A])
-			if err != nil {
-				return fail(err)
-			}
-			regs[in.Dst] = v
-		case ir.OpConv:
-			v, err := ir.Convert(in.Kind, regs[in.A])
-			if err != nil {
-				return fail(err)
-			}
-			regs[in.Dst] = v
-
-		case ir.OpGoto:
-			next = in.Target
-		case ir.OpBr:
-			var taken bool
-			if in.Kind == value.KindInt {
-				x, y := regs[in.A].Int(), regs[in.B].Int()
-				switch in.Cond {
-				case ir.CondEQ:
-					taken = x == y
-				case ir.CondNE:
-					taken = x != y
-				case ir.CondLT:
-					taken = x < y
-				case ir.CondLE:
-					taken = x <= y
-				case ir.CondGT:
-					taken = x > y
-				case ir.CondGE:
-					taken = x >= y
-				default:
-					return fail(ir.ErrBadOperand)
-				}
-			} else {
-				var err error
-				taken, err = ir.EvalCond(in.Cond, in.Kind, regs[in.A], regs[in.B])
-				if err != nil {
-					return fail(err)
-				}
-			}
-			if taken {
-				next = in.Target
-			}
-		case ir.OpReturn:
-			charge(0)
-			f.PC = pc
-			if in.A == ir.NoReg {
-				return value.Value{}, true, nil
-			}
-			return regs[in.A], true, nil
-
-		case ir.OpGetField:
-			obj := regs[in.A]
-			if !obj.IsRef() {
-				return fail(ErrBadValue)
-			}
-			if obj.IsNull() {
-				return fail(ErrNullDeref)
-			}
-			addr := obj.Ref() + in.Field.Offset
-			if fm != nil {
-				var hit bool
-				if memStall, hit = fm.LoadHit(addr, e.S.Cycles); !hit {
-					memStall = fm.LoadAt(addr, in.Field.Kind.Size(), e.S.Cycles, siteBase|uint64(pc))
-				}
-			} else {
-				memStall = e.Mem.LoadAt(addr, in.Field.Kind.Size(), e.S.Cycles, siteBase|uint64(pc))
-			}
-			regs[in.Dst] = e.loadHeap(in.Field.Kind, addr)
-		case ir.OpPutField:
-			obj := regs[in.A]
-			if !obj.IsRef() {
-				return fail(ErrBadValue)
-			}
-			if obj.IsNull() {
-				return fail(ErrNullDeref)
-			}
-			addr := obj.Ref() + in.Field.Offset
-			if fm != nil {
-				var hit bool
-				if memStall, hit = fm.StoreHit(addr, e.S.Cycles); !hit {
-					memStall = fm.Store(addr, in.Field.Kind.Size(), e.S.Cycles)
-				}
-			} else {
-				memStall = e.Mem.Store(addr, in.Field.Kind.Size(), e.S.Cycles)
-			}
-			e.storeHeap(addr, regs[in.B])
-		case ir.OpGetStatic:
-			regs[in.Dst] = e.Prog.Universe.GetStatic(in.Field)
-		case ir.OpPutStatic:
-			e.Prog.Universe.SetStatic(in.Field, regs[in.A])
-
-		case ir.OpArrayLoad:
-			addr, err := e.elemAddr(regs[in.A], regs[in.B])
-			if err != nil {
-				return fail(err)
-			}
-			if fm != nil {
-				var hit bool
-				if memStall, hit = fm.LoadHit(addr, e.S.Cycles); !hit {
-					memStall = fm.LoadAt(addr, in.Kind.Size(), e.S.Cycles, siteBase|uint64(pc))
-				}
-			} else {
-				memStall = e.Mem.LoadAt(addr, in.Kind.Size(), e.S.Cycles, siteBase|uint64(pc))
-			}
-			regs[in.Dst] = e.loadHeap(in.Kind, addr)
-		case ir.OpArrayStore:
-			addr, err := e.elemAddr(regs[in.A], regs[in.B])
-			if err != nil {
-				return fail(err)
-			}
-			if fm != nil {
-				var hit bool
-				if memStall, hit = fm.StoreHit(addr, e.S.Cycles); !hit {
-					memStall = fm.Store(addr, in.Kind.Size(), e.S.Cycles)
-				}
-			} else {
-				memStall = e.Mem.Store(addr, in.Kind.Size(), e.S.Cycles)
-			}
-			e.storeHeap(addr, regs[in.C])
-		case ir.OpArrayLen:
-			arr := regs[in.A]
-			if !arr.IsRef() {
-				return fail(ErrBadValue)
-			}
-			if arr.IsNull() {
-				return fail(ErrNullDeref)
-			}
-			addr := arr.Ref() + classfile.AuxOffset
-			if fm != nil {
-				var hit bool
-				if memStall, hit = fm.LoadHit(addr, e.S.Cycles); !hit {
-					memStall = fm.LoadAt(addr, 4, e.S.Cycles, siteBase|uint64(pc))
-				}
-			} else {
-				memStall = e.Mem.LoadAt(addr, 4, e.S.Cycles, siteBase|uint64(pc))
-			}
-			regs[in.Dst] = value.Int(int32(e.Heap.Load4(addr)))
-
-		case ir.OpNew:
-			addr, err := e.allocObject(in.Class)
-			if err != nil {
-				return fail(err)
-			}
-			regs[in.Dst] = value.Ref(addr)
-		case ir.OpNewArray:
-			n := regs[in.A]
-			if n.K != value.KindInt {
-				return fail(ErrBadValue)
-			}
-			if n.Int() < 0 {
-				return fail(ErrNegativeSize)
-			}
-			addr, err := e.allocArray(in.Kind, uint32(n.Int()))
-			if err != nil {
-				return fail(err)
-			}
-			regs[in.Dst] = value.Ref(addr)
-
-		case ir.OpCall, ir.OpCallVirt:
-			callee := in.Callee
-			if in.Op == ir.OpCallVirt {
-				recv := regs[in.Args[0]]
-				if !recv.IsRef() {
-					return fail(ErrBadValue)
-				}
-				if recv.IsNull() {
-					return fail(ErrNullDeref)
-				}
-				c := e.Heap.ClassOf(recv.Ref())
-				callee = e.Prog.LookupVirtual(c, in.Name)
-				if callee == nil {
-					return fail(fmt.Errorf("%w: %s on %s", ErrNoMethod, in.Name, c.Name))
-				}
-			}
-			charge(4) // call overhead
-			if cap(e.argbuf) < len(in.Args) {
-				e.argbuf = make([]value.Value, len(in.Args))
-			}
-			args := e.argbuf[:len(in.Args)]
-			for i, r := range in.Args {
-				args[i] = regs[r]
-			}
-			f.PC = next
-			if err := e.push(callee, args, in.Dst); err != nil {
-				return value.Value{}, false, err
-			}
-			return value.Value{}, false, nil
-
-		case ir.OpSink:
-			e.sink(regs[in.A])
-
-		case ir.OpPrefetch:
-			if addr, ok := e.prefetchAddr(regs, in.Addr); ok {
-				out := e.Mem.Prefetch(addr, in.Guarded, e.S.Cycles)
-				if rec {
-					e.notePrefetch(f.M, int(in.Site), out)
-				}
-			}
-		case ir.OpSpecLoad:
-			// The guarded speculative load: never faults; fills the DTLB
-			// and caches like a (non-blocking) load; architecturally
-			// yields the loaded word, or null when out of bounds. The word
-			// is a maybe-pointer (KindSpecRef, not KindRef): it must never
-			// become a GC root, or a stale/garbage word pins or crashes
-			// the collector.
-			if addr, ok := e.prefetchAddr(regs, in.Addr); ok {
-				out := e.Mem.Prefetch(addr, true, e.S.Cycles)
-				if rec {
-					e.notePrefetch(f.M, int(in.Site), out)
-				}
-				regs[in.Dst] = value.SpecRef(e.Heap.Load4(addr))
-			} else {
-				regs[in.Dst] = value.SpecRef(0)
-			}
-		default:
-			return fail(fmt.Errorf("interp: unimplemented op %s", in.Op))
-		}
-
-		if rec && memStall != 0 {
-			switch in.Op {
-			case ir.OpGetField, ir.OpArrayLoad, ir.OpArrayLen:
-				e.noteLoad(f.M, pc, memStall)
-			}
-		}
-		charge(memStall)
-		pc = next
-	}
-}
-
-// prefetchAddr evaluates an address expression; ok is false when the base
-// is not a valid in-heap reference (the software guard of Sec. 3.3). The
-// base may be a real reference or a spec_load result (a maybe-pointer).
-func (e *Engine) prefetchAddr(regs []value.Value, a ir.AddrExpr) (uint32, bool) {
+// PrefetchAddr evaluates a prefetch address expression; ok is false when
+// the base is not a valid in-heap reference (the software guard of Sec.
+// 3.3). The base may be a real reference or a spec_load result (a
+// maybe-pointer).
+func (e *Engine) PrefetchAddr(regs []value.Value, a ir.AddrExpr) (uint32, bool) {
 	base := regs[a.Base]
 	if (!base.IsRef() && !base.IsSpecRef()) || base.B == 0 {
 		return 0, false
@@ -865,42 +507,8 @@ func (e *Engine) prefetchAddr(regs []value.Value, a ir.AddrExpr) (uint32, bool) 
 	return u, true
 }
 
-func (e *Engine) elemAddr(arr, idx value.Value) (uint32, error) {
-	if !arr.IsRef() || idx.K != value.KindInt {
-		return 0, ErrBadValue
-	}
-	if arr.IsNull() {
-		return 0, ErrNullDeref
-	}
-	a := arr.Ref()
-	n := e.Heap.ArrayLen(a)
-	i := idx.Int()
-	if i < 0 || uint32(i) >= n {
-		return 0, fmt.Errorf("%w: %d of %d", ErrBounds, i, n)
-	}
-	c := e.Heap.ClassOf(a)
-	return a + classfile.HeaderBytes + uint32(i)*c.ElemSize, nil
-}
-
-func (e *Engine) loadHeap(k value.Kind, addr uint32) value.Value {
-	switch k {
-	case value.KindLong, value.KindDouble:
-		return value.Value{K: k, B: e.Heap.Load8(addr)}
-	default:
-		return value.Value{K: k, B: uint64(e.Heap.Load4(addr))}
-	}
-}
-
-func (e *Engine) storeHeap(addr uint32, v value.Value) {
-	switch v.K {
-	case value.KindLong, value.KindDouble:
-		e.Heap.Store8(addr, v.B)
-	default:
-		e.Heap.Store4(addr, v.Bits())
-	}
-}
-
-func constValue(in *ir.Instr) value.Value {
+// ConstValue materializes an OpConst instruction's value.
+func ConstValue(in *ir.Instr) value.Value {
 	switch in.Kind {
 	case value.KindInt:
 		return value.Int(int32(in.Imm))
@@ -917,19 +525,7 @@ func constValue(in *ir.Instr) value.Value {
 }
 
 // ---------------------------------------------------------------------------
-// Exported execution primitives for the compiled tier.
-//
-// The compiled tier (internal/compile) executes the same semantics from a
-// pre-decoded representation. Everything with subtle invariants — frame
-// management, allocation + GC interplay, the prefetch address guard, site
-// attribution — stays defined here, single-sourced, and is reached through
-// these thin exports.
-
-// PushCall dispatches and pushes an activation of m, counting the
-// invocation through the Dispatcher exactly like an interpreted call.
-func (e *Engine) PushCall(m *ir.Method, args []value.Value, retReg ir.Reg) error {
-	return e.push(m, args, retReg)
-}
+// Frame-stack primitives for executors.
 
 // TopFrame returns the current top activation. The pointer is only valid
 // until the next PushCall (the frame stack may grow and move).
@@ -947,8 +543,8 @@ func (e *Engine) PopFrame(v value.Value) {
 	}
 }
 
-// Threaded exposes the frame's pre-decoded executor so the compiled tier
-// can decide whether a callee can be run without yielding to Run.
+// Threaded exposes the frame's executor so an executor can decide whether
+// a callee can be run without yielding to Run.
 func (f *Frame) Threaded() ThreadedCode { return f.threaded }
 
 // ArgBuf returns the shared call-argument staging buffer, sized to n.
@@ -958,36 +554,3 @@ func (e *Engine) ArgBuf(n int) []value.Value {
 	}
 	return e.argbuf[:n]
 }
-
-// AllocObject allocates an instance of c with GC-on-demand, charging
-// allocation traffic (and GC cost, when one runs) to e.S.Cycles directly.
-func (e *Engine) AllocObject(c *classfile.Class) (uint32, error) { return e.allocObject(c) }
-
-// AllocArray allocates a k[n] array with GC-on-demand; see AllocObject.
-func (e *Engine) AllocArray(k value.Kind, n uint32) (uint32, error) { return e.allocArray(k, n) }
-
-// Sink folds v into the run checksum.
-func (e *Engine) Sink(v value.Value) { e.sink(v) }
-
-// PrefetchAddr evaluates a prefetch address expression under the software
-// guard of Sec. 3.3.
-func (e *Engine) PrefetchAddr(regs []value.Value, a ir.AddrExpr) (uint32, bool) {
-	return e.prefetchAddr(regs, a)
-}
-
-// ElemAddr resolves an array element address with full null/kind/bounds
-// checking.
-func (e *Engine) ElemAddr(arr, idx value.Value) (uint32, error) { return e.elemAddr(arr, idx) }
-
-// NotePrefetch attributes one prefetch outcome to its emitting site.
-// Callers guard on e.Rec != nil.
-func (e *Engine) NotePrefetch(m *ir.Method, site int, out telemetry.PrefetchOutcome) {
-	e.notePrefetch(m, site, out)
-}
-
-// NoteLoad attributes one demand load's stall cycles to its pc. Callers
-// guard on e.Rec != nil.
-func (e *Engine) NoteLoad(m *ir.Method, pc int, stall uint64) { e.noteLoad(m, pc, stall) }
-
-// ConstValue materializes an OpConst instruction's value.
-func ConstValue(in *ir.Instr) value.Value { return constValue(in) }

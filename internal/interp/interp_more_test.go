@@ -1,10 +1,16 @@
-package interp
+package interp_test
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"strider/internal/classfile"
+	"strider/internal/heap"
+	"strider/internal/interp"
 	"strider/internal/ir"
+	"strider/internal/telemetry"
 	"strider/internal/value"
 )
 
@@ -17,7 +23,7 @@ func TestLongArithmeticProgram(t *testing.T) {
 	w := b.Arith(ir.OpShr, value.KindLong, z, b.ConstLong(2))
 	b.Return(w)
 	p.Entry = b.Finish()
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	got, err := e.Run(p.Entry, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +51,7 @@ func TestLongFieldsAndArrays(t *testing.T) {
 	out := b.ArrayLoad(value.KindLong, arr, one)
 	b.Return(out)
 	p.Entry = b.Finish()
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	got, err := e.Run(p.Entry, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +70,7 @@ func TestConversionChain(t *testing.T) {
 	i := b.Conv(value.KindInt, l)
 	b.Return(i)
 	p.Entry = b.Finish()
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	got, err := e.Run(p.Entry, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -104,7 +110,7 @@ func TestStaticsThroughProgram(t *testing.T) {
 	out := b.GetStatic(fCnt)
 	b.Return(out)
 	p.Entry = b.Finish()
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	got, err := e.Run(p.Entry, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +129,7 @@ func TestVirtualDispatchUnknownMethodTraps(t *testing.T) {
 	r := b.CallVirt("nosuch", true, o)
 	b.Return(r)
 	p.Entry = b.Finish()
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	if _, err := e.Run(p.Entry, nil); err == nil {
 		t.Error("dispatch to a missing method must trap")
 	}
@@ -160,8 +166,8 @@ func TestPrefetchInstructionsAreCheap(t *testing.T) {
 	plain := mk("plain", false)
 	pf := mk("pf", true)
 
-	run := func(m *ir.Method) Stats {
-		e := newEngine(p, interpOnly{})
+	run := func(m *ir.Method) interp.Stats {
+		e := newEngine(p, interpOnly)
 		arr, err := e.Heap.AllocArray(value.KindInt, 4096)
 		if err != nil {
 			t.Fatal(err)
@@ -179,7 +185,7 @@ func TestPrefetchInstructionsAreCheap(t *testing.T) {
 	// Issue overhead only: per-instruction cost of the extra prefetches is
 	// bounded by interp cost + issue.
 	extra := s2.Instructions - s1.Instructions
-	maxPer := newEngine(p, interpOnly{}).Machine.IssueCycles + newEngine(p, interpOnly{}).Machine.InterpPenalty
+	maxPer := newEngine(p, interpOnly).Machine.IssueCycles + newEngine(p, interpOnly).Machine.InterpPenalty
 	if s2.Cycles > s1.Cycles+extra*(maxPer+1) {
 		t.Errorf("prefetches too expensive: %d vs %d (+%d instrs)", s2.Cycles, s1.Cycles, extra)
 	}
@@ -195,11 +201,206 @@ func TestSinkAllKinds(t *testing.T) {
 	z := b.ConstInt(0)
 	b.Return(z)
 	p.Entry = b.Finish()
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	if _, err := e.Run(p.Entry, nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.S.Checksum == 0 {
 		t.Error("sink of mixed kinds produced no checksum")
+	}
+}
+
+// scriptedMem charges a fixed stall per load and store and reports
+// prefetch outcomes round-robin, so attribution can be checked exactly.
+type scriptedMem struct{ n int }
+
+func (*scriptedMem) LoadAt(addr, size uint32, now, pc uint64) uint64 { return 10 }
+func (*scriptedMem) Store(addr, size uint32, now uint64) uint64      { return 3 }
+func (m *scriptedMem) Prefetch(addr uint32, guarded bool, now uint64) telemetry.PrefetchOutcome {
+	outs := []telemetry.PrefetchOutcome{telemetry.PrefetchFetched, telemetry.PrefetchUseless,
+		telemetry.PrefetchDroppedTLB, telemetry.PrefetchDroppedQueue}
+	m.n++
+	return outs[(m.n-1)%len(outs)]
+}
+
+// siteLog collects the Site events a flush emits.
+type siteLog struct {
+	telemetry.Nop
+	events []telemetry.SiteEvent
+}
+
+func (l *siteLog) Site(ev telemetry.SiteEvent) { l.events = append(l.events, ev) }
+
+// TestSiteAttribution pins FlushSites: prefetch outcomes aggregate per
+// emitting site and load stalls per pc, events come out ordered by method
+// name with prefetch sites first, and a flush (or ResetStats) clears the
+// aggregate.
+func TestSiteAttribution(t *testing.T) {
+	p := ir.NewProgram(emptyUniverse())
+	var helper *ir.Method
+	{
+		// ::b(arr) loads the array's length: one load site.
+		b := ir.NewBuilder(p, nil, "b", value.KindInt, value.KindRef)
+		b.Return(b.ArrayLen(b.Param(0)))
+		helper = b.Finish()
+	}
+	b := ir.NewBuilder(p, nil, "a", value.KindInt)
+	arr := b.NewArray(value.KindInt, b.ConstInt(8))
+	i, n := b.ConstInt(0), b.ConstInt(4)
+	loop, done := b.NewLabel(), b.NewLabel()
+	b.Bind(loop)
+	b.Br(value.KindInt, ir.CondGE, i, n, done)
+	b.ArrayLoad(value.KindInt, arr, i)
+	b.IncInt(i, 1)
+	b.Goto(loop)
+	b.Bind(done)
+	r := b.Call(helper, arr)
+	b.Return(r)
+	m := b.Finish()
+	// Two prefetch sites ahead of the return, in reverse site order.
+	ret := m.Code[len(m.Code)-1]
+	m.Code = append(m.Code[:len(m.Code)-1],
+		ir.Instr{Op: ir.OpPrefetch, Addr: ir.AddrExpr{Base: arr, Index: ir.NoReg}, Site: 9},
+		ir.Instr{Op: ir.OpPrefetch, Addr: ir.AddrExpr{Base: arr, Index: ir.NoReg}, Site: 2},
+		ir.Instr{Op: ir.OpPrefetch, Addr: ir.AddrExpr{Base: arr, Index: ir.NoReg}, Site: 2},
+		ir.Instr{Op: ir.OpPrefetch, Addr: ir.AddrExpr{Base: arr, Index: ir.NoReg}, Site: 2},
+		ret)
+	p.Entry = m
+
+	for _, compiled := range []bool{interpOnly, compiledOnly} {
+		e := newEngine(p, compiled)
+		e.SetMem(&scriptedMem{})
+		log := &siteLog{}
+		e.Rec = log
+		if _, err := e.Run(p.Entry, nil); err != nil {
+			t.Fatal(err)
+		}
+		e.FlushSites()
+		var got []string
+		for _, ev := range log.events {
+			got = append(got, fmt.Sprintf("%s %s@%d i%d u%d d%d n%d s%d", ev.Method, ev.Kind, ev.Site,
+				ev.Issued, ev.Useless, ev.Dropped, ev.Count, ev.StallCycles))
+		}
+		loadPC := 0
+		for pc, in := range m.Code {
+			if in.Op == ir.OpArrayLoad {
+				loadPC = pc
+			}
+		}
+		want := []string{
+			"::a prefetch@2 i3 u1 d2 n0 s0",
+			"::a prefetch@9 i1 u0 d0 n0 s0",
+			fmt.Sprintf("::a load@%d i0 u0 d0 n4 s40", loadPC),
+			"::b load@0 i0 u0 d0 n1 s10",
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("compiled=%v: site events\n%s\nwant\n%s", compiled, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+
+		log.events = nil
+		e.FlushSites()
+		if len(log.events) != 0 {
+			t.Errorf("second flush emitted %d events", len(log.events))
+		}
+		if _, err := e.Run(p.Entry, nil); err != nil {
+			t.Fatal(err)
+		}
+		e.ResetStats()
+		e.FlushSites()
+		if len(log.events) != 0 || e.S != (interp.Stats{}) {
+			t.Errorf("ResetStats left %d site events and stats %+v", len(log.events), e.S)
+		}
+	}
+}
+
+// TestRuntimeErrorNamesSite checks a trap's message names the method and
+// pc, and that it unwraps to its cause.
+func TestRuntimeErrorNamesSite(t *testing.T) {
+	p := ir.NewProgram(emptyUniverse())
+	b := ir.NewBuilder(p, nil, "main", value.KindInt)
+	b.Return(b.Arith(ir.OpRem, value.KindInt, b.ConstInt(1), b.ConstInt(0)))
+	p.Entry = b.Finish()
+	_, err := newEngine(p, interpOnly).Run(p.Entry, nil)
+	if want := "runtime error in ::main@2: " + ir.ErrDivZero.Error(); err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
+	}
+}
+
+func TestConstValueKinds(t *testing.T) {
+	for _, tc := range []struct {
+		in   ir.Instr
+		want value.Value
+	}{
+		{ir.Instr{Kind: value.KindInt, Imm: -3}, value.Int(-3)},
+		{ir.Instr{Kind: value.KindLong, Imm: 1 << 40}, value.Long(1 << 40)},
+		{ir.Instr{Kind: value.KindFloat, F: 1.5}, value.Float(1.5)},
+		{ir.Instr{Kind: value.KindDouble, F: 2.25}, value.Double(2.25)},
+		{ir.Instr{Kind: value.KindRef}, value.Null},
+		{ir.Instr{Kind: value.KindInvalid}, value.Value{}},
+	} {
+		if got := interp.ConstValue(&tc.in); got != tc.want {
+			t.Errorf("ConstValue(%v) = %v, want %v", tc.in.Kind, got, tc.want)
+		}
+	}
+}
+
+// TestPrefetchAddrGuard walks the software guard of Sec. 3.3: only an
+// in-heap address computed from a live base (or a maybe-pointer) and an
+// int index passes.
+func TestPrefetchAddrGuard(t *testing.T) {
+	p := ir.NewProgram(emptyUniverse())
+	e := newEngine(p, interpOnly)
+	arr, err := e.AllocArray(value.KindInt, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := []value.Value{value.Ref(arr), value.Int(3), value.Long(3), value.SpecRef(arr), value.Int(1 << 30)}
+	for _, tc := range []struct {
+		name string
+		a    ir.AddrExpr
+		ok   bool
+	}{
+		{"base", ir.AddrExpr{Base: 0, Index: ir.NoReg}, true},
+		{"indexed", ir.AddrExpr{Base: 0, Index: 1, Scale: 4, Disp: 16}, true},
+		{"specref-base", ir.AddrExpr{Base: 3, Index: ir.NoReg}, true},
+		{"int-base", ir.AddrExpr{Base: 1, Index: ir.NoReg}, false},
+		{"long-index", ir.AddrExpr{Base: 0, Index: 2, Scale: 4}, false},
+		{"negative", ir.AddrExpr{Base: 0, Index: ir.NoReg, Disp: -int32(arr) - 4}, false},
+		{"past-4g", ir.AddrExpr{Base: 0, Index: 4, Scale: 8}, false},
+		{"out-of-heap", ir.AddrExpr{Base: 0, Index: ir.NoReg, Disp: 1 << 24}, false},
+	} {
+		if _, ok := e.PrefetchAddr(regs, tc.a); ok != tc.ok {
+			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
+		}
+	}
+}
+
+// TestOutOfMemoryAfterCollection fills the heap with live objects: an
+// allocation that still fails after its collection reports the heap's
+// error.
+func TestOutOfMemoryAfterCollection(t *testing.T) {
+	u := emptyUniverse()
+	box := u.MustDefineClass("Box", nil, classfile.FieldSpec{Name: "v", Kind: value.KindLong})
+	p := ir.NewProgram(u)
+	// An 8 KiB heap: the 1024-slot array keeping every box live takes
+	// half of it, and the boxes cannot fit in the rest.
+	b := ir.NewBuilder(p, nil, "main", value.KindInt)
+	keep := b.NewArray(value.KindRef, b.ConstInt(1024))
+	i := b.ConstInt(0)
+	loop := b.Here()
+	b.ArrayStore(value.KindRef, keep, i, b.New(box))
+	b.IncInt(i, 1)
+	b.Goto(loop)
+	p.Entry = b.Finish()
+	e := newEngine(p, interpOnly)
+	e.Heap = heap.New(1<<13, u)
+	if _, err := e.Run(p.Entry, nil); !errors.Is(err, heap.ErrOutOfMemory) {
+		t.Fatalf("err = %v, want out of memory", err)
+	}
+	if e.S.GCs == 0 {
+		t.Error("no collection ran before the allocation failed")
+	}
+	if _, err := e.AllocArray(value.KindInt, 1<<20); !errors.Is(err, heap.ErrOutOfMemory) {
+		t.Errorf("oversized array: err = %v, want out of memory", err)
 	}
 }

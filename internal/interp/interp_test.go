@@ -1,4 +1,6 @@
-package interp
+// Engine tests, run on internal/compile's threaded artifacts: the engine
+// only executes what its dispatcher hands it.
+package interp_test
 
 import (
 	"errors"
@@ -6,32 +8,49 @@ import (
 
 	"strider/internal/arch"
 	"strider/internal/classfile"
+	"strider/internal/compile"
 	"strider/internal/heap"
+	"strider/internal/interp"
 	"strider/internal/ir"
 	"strider/internal/memsim"
 	"strider/internal/telemetry"
 	"strider/internal/value"
 )
 
-// passthrough dispatcher: always interpret the original code.
-type interpOnly struct{}
-
-func (interpOnly) Invoke(m *ir.Method, args []value.Value) *Code {
-	return &Code{Instrs: m.Code, NumRegs: m.NumRegs, Compiled: false}
+// tierDisp runs every method in one tier: on its compile.BuildInterpreted
+// artifact, or on a compile.Build artifact built at its first invocation.
+type tierDisp struct {
+	p        *ir.Program
+	compiled bool
+	interp   []compile.Func
+	codes    map[*ir.Method]*interp.Code
 }
+
+func (d *tierDisp) Invoke(m *ir.Method, args []value.Value) *interp.Code {
+	c, ok := d.codes[m]
+	if !ok {
+		c = &interp.Code{NumRegs: m.NumRegs, Threaded: &d.interp[m.Index()]}
+		if d.compiled {
+			c.Threaded = compile.Build(m, m.Code, d.p.Universe)
+		}
+		d.codes[m] = c
+	}
+	return c
+}
+
+// interpOnly interprets every method.
+const interpOnly = false
 
 // compiledOnly marks everything as compiled (for cycle accounting tests).
-type compiledOnly struct{}
+const compiledOnly = true
 
-func (compiledOnly) Invoke(m *ir.Method, args []value.Value) *Code {
-	return &Code{Instrs: m.Code, NumRegs: m.NumRegs, Compiled: true}
-}
-
-func newEngine(p *ir.Program, disp Dispatcher) *Engine {
+func newEngine(p *ir.Program, compiled bool) *interp.Engine {
 	machine := arch.Pentium4()
 	h := heap.New(1<<20, p.Universe)
 	mem := memsim.New(machine)
-	return New(p, h, mem, disp, machine)
+	disp := &tierDisp{p: p, compiled: compiled, interp: compile.BuildInterpreted(p),
+		codes: make(map[*ir.Method]*interp.Code)}
+	return interp.New(p, h, mem, disp, machine)
 }
 
 func emptyUniverse() *classfile.Universe { return classfile.NewUniverse() }
@@ -44,7 +63,7 @@ func TestArithmeticProgram(t *testing.T) {
 	z := b.Arith(ir.OpMul, value.KindInt, x, y)
 	b.Return(z)
 	p.Entry = b.Finish()
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	got, err := e.Run(p.Entry, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +91,7 @@ func TestRecursionFactorial(t *testing.T) {
 	b.Return(one)
 	fact := b.Finish()
 	p.Entry = fact
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	got, err := e.Run(fact, []value.Value{value.Int(10)})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +126,7 @@ func TestHeapObjectsAndArrays(t *testing.T) {
 	sum2 := b.Arith(ir.OpAdd, value.KindDouble, sum, lnd)
 	b.Return(sum2)
 	p.Entry = b.Finish()
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	got, err := e.Run(p.Entry, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +161,7 @@ func TestVirtualDispatch(t *testing.T) {
 	r := b.Arith(ir.OpAdd, value.KindInt, hi, t2)
 	b.Return(r)
 	p.Entry = b.Finish()
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	got, err := e.Run(p.Entry, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -158,12 +177,12 @@ func runExpectError(t *testing.T, build func(b *ir.Builder), want error) {
 	b := ir.NewBuilder(p, nil, "main", value.KindInt)
 	build(b)
 	p.Entry = b.Finish()
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	_, err := e.Run(p.Entry, nil)
 	if err == nil {
 		t.Fatal("expected a trap")
 	}
-	var re *RuntimeError
+	var re *interp.RuntimeError
 	if !errors.As(err, &re) {
 		t.Fatalf("not a RuntimeError: %v", err)
 	}
@@ -181,8 +200,8 @@ func TestTrapNullDeref(t *testing.T) {
 	v := b.GetField(null, c.FieldByName("v"))
 	b.Return(v)
 	p.Entry = b.Finish()
-	e := newEngine(p, interpOnly{})
-	if _, err := e.Run(p.Entry, nil); !errors.Is(err, ErrNullDeref) {
+	e := newEngine(p, interpOnly)
+	if _, err := e.Run(p.Entry, nil); !errors.Is(err, interp.ErrNullDeref) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -194,7 +213,7 @@ func TestTrapBounds(t *testing.T) {
 		five := b.ConstInt(5)
 		v := b.ArrayLoad(value.KindInt, arr, five)
 		b.Return(v)
-	}, ErrBounds)
+	}, interp.ErrBounds)
 }
 
 func TestTrapNegativeArraySize(t *testing.T) {
@@ -203,7 +222,7 @@ func TestTrapNegativeArraySize(t *testing.T) {
 		arr := b.NewArray(value.KindInt, neg)
 		ln := b.ArrayLen(arr)
 		b.Return(ln)
-	}, ErrNegativeSize)
+	}, interp.ErrNegativeSize)
 }
 
 func TestTrapDivZero(t *testing.T) {
@@ -222,8 +241,8 @@ func TestTrapStackOverflow(t *testing.T) {
 	b.Return(r)
 	rec := b.Finish()
 	p.Entry = rec
-	e := newEngine(p, interpOnly{})
-	if _, err := e.Run(rec, []value.Value{value.Int(0)}); !errors.Is(err, ErrStackOverflow) {
+	e := newEngine(p, interpOnly)
+	if _, err := e.Run(rec, []value.Value{value.Int(0)}); !errors.Is(err, interp.ErrStackOverflow) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -234,9 +253,9 @@ func TestInstructionBudget(t *testing.T) {
 	head := b.Here()
 	b.Goto(head)
 	p.Entry = b.Finish()
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	e.MaxInstructions = 1000
-	if _, err := e.Run(p.Entry, nil); !errors.Is(err, ErrBudget) {
+	if _, err := e.Run(p.Entry, nil); !errors.Is(err, interp.ErrBudget) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -262,7 +281,7 @@ func TestChecksumDeterministic(t *testing.T) {
 	var sums []uint64
 	for k := 0; k < 2; k++ {
 		p := build()
-		e := newEngine(p, interpOnly{})
+		e := newEngine(p, interpOnly)
 		if _, err := e.Run(p.Entry, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -293,7 +312,7 @@ func TestGCDuringExecution(t *testing.T) {
 	b.Br(value.KindInt, ir.CondLT, i, n, body)
 	b.Return(i)
 	p.Entry = b.Finish()
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	got, err := e.Run(p.Entry, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +351,7 @@ func TestGCKeepsFrameRootsAlive(t *testing.T) {
 	out := b.GetField(box, c.FieldByName("v"))
 	b.Return(out)
 	p.Entry = b.Finish()
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	got, err := e.Run(p.Entry, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +381,7 @@ func TestSpecLoadNeverFaults(t *testing.T) {
 	}
 	p.Define(m)
 	p.Entry = m
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	got, err := e.Run(m, nil)
 	if err != nil {
 		t.Fatalf("spec_load/prefetch must never trap: %v", err)
@@ -412,7 +431,7 @@ func TestSpecLoadResultInvisibleToGC(t *testing.T) {
 	p.Define(m)
 	p.Entry = m
 
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	e.Heap = heap.New(1<<16, u) // small heap: force collections
 	got, err := e.Run(p.Entry, nil)
 	if err != nil {
@@ -444,10 +463,10 @@ func TestCompiledVsInterpretedCycles(t *testing.T) {
 		return p
 	}
 	p1 := build()
-	e1 := newEngine(p1, interpOnly{})
+	e1 := newEngine(p1, interpOnly)
 	e1.Run(p1.Entry, nil)
 	p2 := build()
-	e2 := newEngine(p2, compiledOnly{})
+	e2 := newEngine(p2, compiledOnly)
 	e2.Run(p2.Entry, nil)
 	if e1.S.Cycles <= e2.S.Cycles {
 		t.Errorf("interpreted (%d cycles) must be slower than compiled (%d)", e1.S.Cycles, e2.S.Cycles)
@@ -466,7 +485,7 @@ func TestWrongArgCount(t *testing.T) {
 	b.Return(b.Param(0))
 	m := b.Finish()
 	p.Entry = m
-	e := newEngine(p, interpOnly{})
+	e := newEngine(p, interpOnly)
 	if _, err := e.Run(m, nil); err == nil {
 		t.Error("arity mismatch must fail")
 	}
@@ -495,11 +514,11 @@ func TestFlatMemKeepsArchitecture(t *testing.T) {
 	}
 	p.Entry = m
 
-	run := func(flat bool) (value.Value, Stats) {
+	run := func(flat bool) (value.Value, interp.Stats) {
 		t.Helper()
-		e := newEngine(p, interpOnly{})
+		e := newEngine(p, interpOnly)
 		if flat {
-			e.SetMem(FlatMem{})
+			e.SetMem(interp.FlatMem{})
 			if e.FastMem() != nil {
 				t.Fatal("FlatMem pinned as the fast lane")
 			}
@@ -521,7 +540,7 @@ func TestFlatMemKeepsArchitecture(t *testing.T) {
 	if flat.Cycles >= sim.Cycles {
 		t.Errorf("flat memory took %d cycles, the simulator %d: no stall was dropped", flat.Cycles, sim.Cycles)
 	}
-	if out := (FlatMem{}).Prefetch(0, true, 0); out != telemetry.PrefetchFetched {
+	if out := (interp.FlatMem{}).Prefetch(0, true, 0); out != telemetry.PrefetchFetched {
 		t.Errorf("FlatMem prefetch reported %v, want a fill", out)
 	}
 }

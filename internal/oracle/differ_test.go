@@ -22,8 +22,9 @@ import (
 // machines, leak checks and memory-model invariants included. Any semantic
 // effect of prefetching — software or hardware, dynamically inspected or
 // statically mispredicted — anywhere in the stack fails here. Every cell
-// runs its JIT-compiled methods on the threaded tier, so any divergence
-// of that tier from the reference interpreter fails here too. The
+// runs all its activations, interpreted and compiled, as threaded
+// micro-ops, so any divergence of those from the reference interpreter
+// fails here too. The
 // workload subtests run in parallel: each Verify builds its own programs,
 // heaps and simulators.
 func TestVerifyAllWorkloads(t *testing.T) {

@@ -15,10 +15,11 @@ import (
 // and the mixed-mode dispatcher together — performs zero Go heap
 // allocations. Frame slots, register files, the GC mark stack, dispatch
 // artifacts, and cache metadata are all preallocated or pooled, so
-// simulation speed cannot degrade with allocator or GC pressure. The
-// threaded tier's artifacts are built once at JIT time and its thread
-// state lives in Engine.ExecScratch. Subtests are named mode/compiled
-// after the tier that runs the JIT-compiled methods.
+// simulation speed cannot degrade with allocator or GC pressure. Threaded
+// artifacts are built once — the interpreted ones at vm.New, the compiled
+// ones at JIT time — and the thread state lives in Engine.ExecScratch.
+// Subtests are named mode/compiled after the tier that runs the
+// JIT-compiled methods.
 func TestSteadyStateRunZeroAllocs(t *testing.T) {
 	for _, mode := range []jit.Mode{jit.Baseline, jit.InterIntra} {
 		t.Run(mode.String()+"/compiled", func(t *testing.T) {

@@ -7,6 +7,13 @@
 // about to be executed ... actual values for the parameters are available
 // at compile time").
 //
+// Every activation runs on internal/compile's threaded micro-ops. New
+// builds an interpreted artifact for every method of the program, which
+// charges the machine's interpretation penalty; the JIT replaces a
+// method's artifact with a compiled one. Frames pushed before the
+// recompile keep their interpreted artifact, so mixed-mode execution —
+// and Table 3's compiled-code fractions — stay a simulated property.
+//
 // Measure follows the paper's methodology (warm-up runs, then the
 // measured run) with the warm-ups over a zero-latency memory model:
 // nothing a warm-up leaves behind for the measured run — JIT state, the
@@ -127,17 +134,29 @@ type VM struct {
 	Engine  *interp.Engine
 	JITOpts jit.Options
 
-	compiled map[*ir.Method]*jit.Compiled
-	counts   map[*ir.Method]int
-	// codes caches the dispatch artifact per method in its current tier
-	// (interpreted until the threshold, then the compiled body), so the
-	// steady-state Invoke path is a single map hit with no allocation.
-	codes map[*ir.Method]*interp.Code
+	// methods holds the dispatch state of every method, indexed by
+	// ir.Method.Index, so the steady-state Invoke path is one slice index
+	// with no allocation.
+	methods []method
+	// compiledMethods counts the methods the JIT has compiled.
+	compiledMethods int
 
 	jitUnits      uint64
 	prefetchUnits uint64
 	inspectSteps  int
 	prefetchStats prefetch.Stats
+}
+
+// method is one method's dispatch state.
+type method struct {
+	// code is the artifact for the method's current tier: interpreted
+	// until the compile threshold, then the JIT-compiled body.
+	code interp.Code
+	// jit is the JIT artifact, nil while the method is interpreted.
+	jit *jit.Compiled
+	// count is the number of invocations up to and including the one
+	// that compiled the method.
+	count int
 }
 
 // New creates a VM for a program.
@@ -147,13 +166,15 @@ func New(prog *ir.Program, cfg Config) *VM {
 	h.SetGCMode(cfg.GC)
 	mem := memsim.New(cfg.Machine)
 	v := &VM{
-		Config:   cfg,
-		Prog:     prog,
-		Heap:     h,
-		Mem:      mem,
-		compiled: make(map[*ir.Method]*jit.Compiled),
-		counts:   make(map[*ir.Method]int),
-		codes:    make(map[*ir.Method]*interp.Code),
+		Config: cfg,
+		Prog:   prog,
+		Heap:   h,
+		Mem:    mem,
+	}
+	funcs := compile.BuildInterpreted(prog)
+	v.methods = make([]method, len(funcs))
+	for i, m := range prog.Methods() {
+		v.methods[i].code = interp.Code{NumRegs: m.NumRegs, Threaded: &funcs[i]}
 	}
 	if cfg.JIT != nil {
 		v.JITOpts = *cfg.JIT
@@ -171,20 +192,17 @@ func New(prog *ir.Program, cfg Config) *VM {
 // Invoke implements interp.Dispatcher: mixed-mode dispatch with
 // compile-at-threshold using the live argument values.
 func (v *VM) Invoke(m *ir.Method, args []value.Value) *interp.Code {
-	if code, ok := v.codes[m]; ok && code.Compiled {
-		return code
+	s := &v.methods[m.Index()]
+	if s.jit != nil {
+		return &s.code
 	}
-	v.counts[m]++
-	if v.counts[m] < v.Config.CompileThreshold {
-		code, ok := v.codes[m]
-		if !ok {
-			code = &interp.Code{Instrs: m.Code, NumRegs: m.NumRegs, Compiled: false}
-			v.codes[m] = code
-		}
-		return code
+	s.count++
+	if s.count < v.Config.CompileThreshold {
+		return &s.code
 	}
 	c := jit.Compile(v.Prog, v.Heap, m, args, v.JITOpts)
-	v.compiled[m] = c
+	s.jit = c
+	v.compiledMethods++
 	v.jitUnits += c.TotalUnits()
 	v.prefetchUnits += c.PrefetchUnits
 	v.inspectSteps += c.InspectSteps
@@ -193,7 +211,7 @@ func (v *VM) Invoke(m *ir.Method, args []value.Value) *interp.Code {
 		r.Compile(telemetry.CompileEvent{
 			Method:        m.QName(),
 			Mode:          v.JITOpts.Mode.String(),
-			Invocations:   v.counts[m],
+			Invocations:   s.count,
 			Loops:         len(c.Graphs),
 			InspectSteps:  c.InspectSteps,
 			BaseUnits:     c.BaseUnits,
@@ -201,10 +219,8 @@ func (v *VM) Invoke(m *ir.Method, args []value.Value) *interp.Code {
 			Prefetches:    c.Prefetch.Total(),
 		})
 	}
-	code := &interp.Code{Instrs: c.Code, NumRegs: c.NumRegs, Compiled: true,
-		Threaded: compile.Build(m, c.Code, v.Prog.Universe)}
-	v.codes[m] = code
-	return code
+	s.code = interp.Code{NumRegs: c.NumRegs, Threaded: compile.Build(m, c.Code, v.Prog.Universe)}
+	return &s.code
 }
 
 func addStats(dst *prefetch.Stats, s prefetch.Stats) {
@@ -220,7 +236,7 @@ func addStats(dst *prefetch.Stats, s prefetch.Stats) {
 
 // CompiledFor returns the JIT artifact for a method, or nil. Diagnostics
 // (Table 1) use it to show annotated load dependence graphs.
-func (v *VM) CompiledFor(m *ir.Method) *jit.Compiled { return v.compiled[m] }
+func (v *VM) CompiledFor(m *ir.Method) *jit.Compiled { return v.methods[m.Index()].jit }
 
 // ResetRun prepares the VM for a fresh run of the program while keeping
 // JIT state (compiled code and invocation counts), mirroring the paper's
@@ -252,7 +268,7 @@ func (v *VM) Run(args []value.Value) (RunStats, error) {
 		HW:                   v.Mem.HWStats(),
 		JITUnits:             v.jitUnits,
 		PrefetchUnits:        v.prefetchUnits,
-		CompiledMethods:      len(v.compiled),
+		CompiledMethods:      v.compiledMethods,
 		Prefetch:             v.prefetchStats,
 		InspectSteps:         v.inspectSteps,
 	}

@@ -64,30 +64,3 @@ func TestJessEndToEnd(t *testing.T) {
 	t.Logf("prefetch stats: %+v", both.Prefetch)
 	t.Logf("mem: %+v", both.Mem)
 }
-
-// TestCompiledMethodsRunThreaded pins that production VMs run every
-// JIT-compiled method on the threaded tier. The tier is bit-identical to
-// the interpreter's step loop, so no output-level test would notice a
-// silent fallback to that loop; this checks the artifact itself.
-func TestCompiledMethodsRunThreaded(t *testing.T) {
-	for _, w := range workloads.All() {
-		prog := w.Build(workloads.SizeSmall)
-		v := vm.New(prog, vm.Config{})
-		if _, err := v.Run(nil); err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		compiled := 0
-		for _, m := range prog.Methods() {
-			if v.CompiledFor(m) == nil {
-				continue
-			}
-			compiled++
-			if v.Invoke(m, nil).Threaded == nil {
-				t.Errorf("%s: compiled method %s has no threaded artifact", w.Name, m.QName())
-			}
-		}
-		if compiled == 0 {
-			t.Errorf("%s: no method was JIT-compiled", w.Name)
-		}
-	}
-}
