@@ -86,7 +86,7 @@ func Suite() []Entry {
 		}},
 
 		// The execution tier isolated: a steady-state jess run on the
-		// threaded-code tier (internal/compile) that runs every
+		// engine's threaded micro-ops (internal/interp), which run every
 		// JIT-compiled method, with the memory hierarchy replaced by a
 		// zero-latency model so host time measures instruction execution
 		// rather than cache simulation. The name is kept so the entry's

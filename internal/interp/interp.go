@@ -1,17 +1,50 @@
-// Package interp holds the execution engine state of the simulated VM and
-// the execution primitives every activation shares. It runs IR — baseline
-// or prefetch-augmented — over the simulated heap, routing every memory
-// access through the machine's memory-system model and accounting cycles
-// with the machine's timing model.
+// Package interp is the execution engine of the simulated VM. It runs IR
+// — baseline or prefetch-augmented — over the simulated heap, routing
+// every memory access through the machine's memory-system model and
+// accounting cycles with the machine's timing model. The engine owns the
+// frame stack, the heap and GC interplay, the prefetch address guard,
+// per-site attribution and the run's statistics.
 //
-// The engine owns the frame stack, the heap and GC interplay, the
-// prefetch address guard, per-site attribution and the run's statistics.
-// It does not decode IR itself: the dispatcher hands every activation a
-// ThreadedCode, and Run steps it. The VM's artifacts are the pre-decoded
-// micro-op streams of internal/compile, interpreted or JIT-compiled; an
-// interpreted activation pays the machine's interpretation penalty per
-// instruction and is not credited to the compiled-code counters, which is
-// how the mixed-mode compiled-code fractions of Table 3 arise.
+// Every activation runs on a Code, the pre-decoded micro-op stream of one
+// method body in one tier. The VM builds an interpreted Code for every
+// method when it is created (BuildInterpreted) and replaces a method's
+// Code with a compiled one when the JIT compiles it (Build). Each Code
+// records its tier, which sets the accounting: an interpreted micro-op
+// retires at the machine's issue cost plus its interpretation penalty and
+// is never credited to the compiled-code counters, so the mixed-mode
+// compiled fractions of Table 3 arise exactly as on a step-by-step
+// interpreter.
+//
+// Translation resolves operand registers, field offsets, branch targets
+// and static-slot lookups once — for compiled code at the same
+// compile-at-invocation point where object inspection runs (the paper's
+// Sec. 3 hook) — instead of re-decoding every ir.Instr on every
+// execution. Every micro-op carries a dense micro-kind specialized for
+// one (op, kind, cond) shape; the runner keeps pc, the cycle counter, and
+// the retired-instruction counter in locals and dispatches hot kinds
+// through a single jump-table switch over a 56-byte hot op record, where
+// an ir.Instr is 136 bytes. The cold tail — calls, allocation, prefetch
+// address evaluation, the generic arithmetic fallbacks — is a chain of
+// per-op Go functions (the classic threaded-code form) over a parallel
+// side table, entered from the same loop. Maximal runs of trap-free
+// register-only micro-ops are additionally fused into a single dispatch,
+// and array addressing holds a one-entry header memo (length + element
+// size) that pure heap reads make unobservable.
+//
+// Semantics are pinned bit for bit to a straightforward one-instruction-
+// at-a-time interpreter, which this package's tests keep as their
+// reference: every memory access goes through the same MemModel calls
+// with the same load-site pcs and the same `now` cycle counts, prefetch
+// instructions spliced in by the JIT execute exactly as written, traps
+// carry the same causes at the same pcs, and cycle/instruction accounting
+// is identical in both tiers. The oracle differ and the golden decision
+// traces hold this equivalence down to the byte.
+//
+// Codes are arena-style: one Code owns one []uop arena and one parallel
+// cold-field arena, each sized 1:1 with the IR (BuildInterpreted carves
+// every method's arenas out of one allocation each), shared immutably
+// across pooled VMs, and the loop's thread state is a field of the
+// Engine, so the steady-state loop allocates nothing.
 package interp
 
 import (
@@ -59,29 +92,6 @@ func (FlatMem) Prefetch(addr uint32, guarded bool, now uint64) telemetry.Prefetc
 	return telemetry.PrefetchFetched
 }
 
-// Code is an executable method body as chosen by the dispatcher.
-type Code struct {
-	NumRegs int
-
-	// Threaded executes the method's activations in the tier the
-	// dispatcher chose (the VM's are internal/compile artifacts). A frame
-	// keeps the Threaded it was pushed with, so activations pushed before
-	// their method was JIT-compiled finish in the interpreted tier. It
-	// must be non-nil.
-	Threaded ThreadedCode
-}
-
-// ThreadedCode executes activations of one method from a pre-decoded
-// representation. Step executes from the top frame f until that frame
-// returns (done=true with the return value), a call yields (a new frame
-// pushed, done=false), or a trap (err non-nil with the faulting frame on
-// top and its PC at the faulting instruction, which Run wraps in a
-// RuntimeError). Step may run callees nested and pop their frames itself,
-// as long as the engine's frame stack stays authoritative.
-type ThreadedCode interface {
-	Step(e *Engine, f *Frame) (value.Value, bool, error)
-}
-
 // Dispatcher resolves each invocation to executable code, JIT-compiling as
 // it sees fit. It receives the actual argument values — the hook that
 // makes object inspection possible.
@@ -124,19 +134,18 @@ const initialFrames = 8
 // DefaultMaxInstructions bounds runaway programs.
 const DefaultMaxInstructions = 4_000_000_000
 
-// Frame is one activation record. Its fields are exported so executors
-// (internal/compile) can run activations of the engine's stack; the
-// invariants of stack growth and register reuse are owned by PushCall and
-// Run.
-type Frame struct {
-	M      *ir.Method
-	PC     int
-	Regs   []value.Value
-	RetReg ir.Reg // caller register receiving the return value
+// frame is one activation record. The invariants of stack growth and
+// register reuse are owned by pushCall and Run.
+type frame struct {
+	m      *ir.Method
+	pc     int
+	regs   []value.Value
+	retReg ir.Reg // caller register receiving the return value
 
-	// threaded is the frame's executor, set at push time from the
-	// dispatched Code.
-	threaded ThreadedCode
+	// code is the artifact the frame was pushed with. A frame keeps it
+	// for its lifetime, so activations pushed before their method was
+	// JIT-compiled finish in the interpreted tier.
+	code *Code
 }
 
 // Stats is the engine's cycle and event accounting for one run.
@@ -161,9 +170,6 @@ type Engine struct {
 
 	// MaxInstructions bounds one Run (defaults to DefaultMaxInstructions).
 	MaxInstructions uint64
-	// ChargeGC adds a modelled GC cost to the cycle count (1 cycle per 4
-	// live bytes plus a per-collection constant).
-	ChargeGC bool
 
 	// Rec, when non-nil, enables per-site memory attribution: the engine
 	// aggregates prefetch outcomes (keyed by the instruction's Site, the
@@ -174,15 +180,9 @@ type Engine struct {
 
 	S Stats
 
-	// ExecScratch is opaque per-engine scratch storage for a ThreadedCode
-	// implementation. internal/compile parks its reusable thread state
-	// here so steady-state Step calls allocate nothing; the engine never
-	// reads it.
-	ExecScratch any
-
 	// fastMem pins Mem's concrete type when it is the standard simulator,
 	// enabling the devirtualized inline-probe hit lane at the engine's
-	// memory-access sites (and the executors', via FastMem): probe
+	// memory-access sites: probe
 	// memsim.LoadHit/StoreHit inline, fall into the full access as a
 	// direct — not interface — call. nil routes every access through the
 	// MemModel interface: any other model (oracle taps, test doubles,
@@ -192,16 +192,20 @@ type Engine struct {
 	fastMem *memsim.Memory
 
 	// frames is the activation stack. It starts at initialFrames and
-	// PushCall doubles it (up to MaxFrames) when a call reaches past its capacity,
-	// so a *Frame is only valid until the next push: holders re-fetch the
+	// pushCall doubles it (up to MaxFrames) when a call reaches past its capacity,
+	// so a *frame is only valid until the next push: holders re-fetch the
 	// top frame after any call. Popped frames keep their register slices
 	// for reuse, and growth carries them over, so once the stack has
 	// reached a run's depth the call path allocates nothing.
-	frames []Frame
+	frames []frame
 	// argbuf is the scratch buffer call argument values are staged in
 	// before they are copied into the callee frame.
 	argbuf []value.Value
 	sites  map[siteKey]*siteAgg
+
+	// th is the micro-op loop's execution state; step re-binds it to
+	// every activation it runs, so steady-state steps allocate nothing.
+	th thread
 }
 
 // siteKey identifies one attribution site within a method.
@@ -221,8 +225,7 @@ func New(prog *ir.Program, h *heap.Heap, mem MemModel, disp Dispatcher, m *arch.
 	e := &Engine{
 		Prog: prog, Heap: h, Disp: disp, Machine: m,
 		MaxInstructions: DefaultMaxInstructions,
-		ChargeGC:        true,
-		frames:          make([]Frame, 0, initialFrames),
+		frames:          make([]frame, 0, initialFrames),
 	}
 	e.SetMem(mem)
 	return e
@@ -241,7 +244,7 @@ func (e *Engine) SetMem(m MemModel) {
 }
 
 // FastMem returns the pinned concrete memory simulator, or nil when
-// accesses must take the MemModel interface path. Executors route their
+// accesses must take the MemModel interface path. The engine routes its
 // memory accesses through it: probe LoadHit/StoreHit inline, fall back to
 // the full access on a miss.
 func (e *Engine) FastMem() *memsim.Memory { return e.fastMem }
@@ -252,9 +255,9 @@ func (e *Engine) ResetStats() {
 	e.sites = nil
 }
 
-// NotePrefetch attributes one prefetch outcome to its emitting site.
+// notePrefetch attributes one prefetch outcome to its emitting site.
 // Callers guard on e.Rec != nil.
-func (e *Engine) NotePrefetch(m *ir.Method, site int, out telemetry.PrefetchOutcome) {
+func (e *Engine) notePrefetch(m *ir.Method, site int, out telemetry.PrefetchOutcome) {
 	a := e.siteAggFor(siteKey{m: m, site: site, prefetch: true})
 	a.issued++
 	switch out {
@@ -265,9 +268,9 @@ func (e *Engine) NotePrefetch(m *ir.Method, site int, out telemetry.PrefetchOutc
 	}
 }
 
-// NoteLoad attributes one demand load's stall cycles to its pc. Callers
+// noteLoad attributes one demand load's stall cycles to its pc. Callers
 // guard on e.Rec != nil.
-func (e *Engine) NoteLoad(m *ir.Method, pc int, stall uint64) {
+func (e *Engine) noteLoad(m *ir.Method, pc int, stall uint64) {
 	a := e.siteAggFor(siteKey{m: m, site: pc})
 	a.count++
 	a.stall += stall
@@ -322,36 +325,36 @@ func (e *Engine) FlushSites() {
 	e.sites = nil
 }
 
-// PushCall dispatches m (counting the invocation through the Dispatcher)
+// pushCall dispatches m (counting the invocation through the Dispatcher)
 // and pushes its activation, growing a full stack first (see frames): a
-// *Frame taken before the push is stale afterwards.
-func (e *Engine) PushCall(m *ir.Method, args []value.Value, retReg ir.Reg) error {
+// *frame taken before the push is stale afterwards.
+func (e *Engine) pushCall(m *ir.Method, args []value.Value, retReg ir.Reg) error {
 	n := len(e.frames)
 	if n >= MaxFrames {
 		return ErrStackOverflow
 	}
 	if n == cap(e.frames) {
-		grown := make([]Frame, n, min(2*n, MaxFrames))
+		grown := make([]frame, n, min(2*n, MaxFrames))
 		copy(grown, e.frames)
 		e.frames = grown
 	}
 	code := e.Disp.Invoke(m, args)
 	e.frames = e.frames[:n+1]
 	f := &e.frames[n]
-	f.M = m
-	f.threaded = code.Threaded
-	f.PC = 0
-	f.RetReg = retReg
-	if cap(f.Regs) >= code.NumRegs {
-		f.Regs = f.Regs[:code.NumRegs]
+	f.m = m
+	f.code = code
+	f.pc = 0
+	f.retReg = retReg
+	if cap(f.regs) >= code.numRegs {
+		f.regs = f.regs[:code.numRegs]
 	} else {
-		f.Regs = make([]value.Value, code.NumRegs)
+		f.regs = make([]value.Value, code.numRegs)
 	}
-	na := copy(f.Regs, args)
+	na := copy(f.regs, args)
 	// A reused register slice carries the previous activation's values;
 	// clear the non-argument registers so GC roots and def-before-use
 	// behaviour match a freshly zeroed frame.
-	tail := f.Regs[na:]
+	tail := f.regs[na:]
 	for i := range tail {
 		tail[i] = value.Value{}
 	}
@@ -361,7 +364,7 @@ func (e *Engine) PushCall(m *ir.Method, args []value.Value, retReg ir.Reg) error
 // roots enumerates all reference slots in live frames for the collector.
 func (e *Engine) roots(visit func(*value.Value)) {
 	for fi := range e.frames {
-		regs := e.frames[fi].Regs
+		regs := e.frames[fi].regs
 		for i := range regs {
 			if regs[i].K == value.KindRef {
 				visit(&regs[i])
@@ -370,20 +373,19 @@ func (e *Engine) roots(visit func(*value.Value)) {
 	}
 }
 
-// collect runs a GC and charges its modelled cost.
+// collect runs a GC and charges its modelled cost: a per-collection
+// constant plus 1 cycle per 4 live bytes.
 func (e *Engine) collect() {
 	live := e.Heap.Collect(e.roots)
 	e.S.GCs++
-	if e.ChargeGC {
-		cost := 50_000 + live/4
-		e.S.GCCycles += cost
-		e.S.Cycles += cost
-	}
+	cost := 50_000 + live/4
+	e.S.GCCycles += cost
+	e.S.Cycles += cost
 }
 
-// AllocObject allocates an instance of c with GC-on-demand, charging
+// allocObject allocates an instance of c with GC-on-demand, charging
 // allocation traffic (and GC cost, when one runs) to e.S.Cycles directly.
-func (e *Engine) AllocObject(c *classfile.Class) (uint32, error) {
+func (e *Engine) allocObject(c *classfile.Class) (uint32, error) {
 	addr, err := e.Heap.AllocObject(c)
 	if err != nil {
 		e.collect()
@@ -396,8 +398,8 @@ func (e *Engine) AllocObject(c *classfile.Class) (uint32, error) {
 	return addr, nil
 }
 
-// AllocArray allocates a k[n] array with GC-on-demand; see AllocObject.
-func (e *Engine) AllocArray(k value.Kind, n uint32) (uint32, error) {
+// allocArray allocates a k[n] array with GC-on-demand; see allocObject.
+func (e *Engine) allocArray(k value.Kind, n uint32) (uint32, error) {
 	addr, err := e.Heap.AllocArray(k, n)
 	if err != nil {
 		e.collect()
@@ -432,8 +434,8 @@ func (e *Engine) touchAlloc(addr, size uint32) {
 	}
 }
 
-// Sink folds v into the run checksum (FNV-1a over the payload).
-func (e *Engine) Sink(v value.Value) {
+// sink folds v into the run checksum (FNV-1a over the payload).
+func (e *Engine) sink(v value.Value) {
 	h := e.S.Checksum
 	if h == 0 {
 		h = 1469598103934665603
@@ -452,39 +454,39 @@ func (e *Engine) Run(entry *ir.Method, args []value.Value) (value.Value, error) 
 			entry.QName(), len(entry.Params), len(args))
 	}
 	e.frames = e.frames[:0]
-	if err := e.PushCall(entry, args, ir.NoReg); err != nil {
+	if err := e.pushCall(entry, args, ir.NoReg); err != nil {
 		return value.Value{}, err
 	}
 	var result value.Value
 	for len(e.frames) > 0 {
 		f := &e.frames[len(e.frames)-1]
-		v, done, err := f.threaded.Step(e, f)
+		v, done, err := f.code.step(e, f)
 		if err != nil {
-			// Step may have pushed into nested frames without returning
+			// step may have pushed into nested frames without returning
 			// here; the faulting frame is whatever is on top now.
 			ft := &e.frames[len(e.frames)-1]
-			return value.Value{}, &RuntimeError{Method: ft.M, PC: ft.PC, Err: err}
+			return value.Value{}, &RuntimeError{Method: ft.m, PC: ft.pc, Err: err}
 		}
 		if done {
-			// f may be stale: Step can push nested frames and grow the
+			// f may be stale: step can push nested frames and grow the
 			// stack before its own frame returns. The returning frame is
 			// the top one now.
 			if len(e.frames) == 1 {
 				e.frames = e.frames[:0]
 				result = v
 			} else {
-				e.PopFrame(v)
+				e.popFrame(v)
 			}
 		}
 	}
 	return result, nil
 }
 
-// PrefetchAddr evaluates a prefetch address expression; ok is false when
+// prefetchAddr evaluates a prefetch address expression; ok is false when
 // the base is not a valid in-heap reference (the software guard of Sec.
 // 3.3). The base may be a real reference or a spec_load result (a
 // maybe-pointer).
-func (e *Engine) PrefetchAddr(regs []value.Value, a ir.AddrExpr) (uint32, bool) {
+func (e *Engine) prefetchAddr(regs []value.Value, a ir.AddrExpr) (uint32, bool) {
 	base := regs[a.Base]
 	if (!base.IsRef() && !base.IsSpecRef()) || base.B == 0 {
 		return 0, false
@@ -507,8 +509,8 @@ func (e *Engine) PrefetchAddr(regs []value.Value, a ir.AddrExpr) (uint32, bool) 
 	return u, true
 }
 
-// ConstValue materializes an OpConst instruction's value.
-func ConstValue(in *ir.Instr) value.Value {
+// constValue materializes an OpConst instruction's value.
+func constValue(in *ir.Instr) value.Value {
 	switch in.Kind {
 	case value.KindInt:
 		return value.Int(int32(in.Imm))
@@ -524,31 +526,24 @@ func ConstValue(in *ir.Instr) value.Value {
 	return value.Value{}
 }
 
-// ---------------------------------------------------------------------------
-// Frame-stack primitives for executors.
+// topFrame returns the current top activation. The pointer is only valid
+// until the next pushCall (the frame stack may grow and move).
+func (e *Engine) topFrame() *frame { return &e.frames[len(e.frames)-1] }
 
-// TopFrame returns the current top activation. The pointer is only valid
-// until the next PushCall (the frame stack may grow and move).
-func (e *Engine) TopFrame() *Frame { return &e.frames[len(e.frames)-1] }
-
-// PopFrame pops the top activation and delivers its return value to the
+// popFrame pops the top activation and delivers its return value to the
 // caller's return register — exactly the Run loop's frame retirement.
 // The caller must ensure at least one frame remains below.
-func (e *Engine) PopFrame(v value.Value) {
+func (e *Engine) popFrame(v value.Value) {
 	f := &e.frames[len(e.frames)-1]
-	retReg := f.RetReg
+	retReg := f.retReg
 	e.frames = e.frames[:len(e.frames)-1]
 	if retReg != ir.NoReg {
-		e.frames[len(e.frames)-1].Regs[retReg] = v
+		e.frames[len(e.frames)-1].regs[retReg] = v
 	}
 }
 
-// Threaded exposes the frame's executor so an executor can decide whether
-// a callee can be run without yielding to Run.
-func (f *Frame) Threaded() ThreadedCode { return f.threaded }
-
-// ArgBuf returns the shared call-argument staging buffer, sized to n.
-func (e *Engine) ArgBuf(n int) []value.Value {
+// argBuf returns the shared call-argument staging buffer, sized to n.
+func (e *Engine) argBuf(n int) []value.Value {
 	if cap(e.argbuf) < n {
 		e.argbuf = make([]value.Value, n)
 	}

@@ -1,5 +1,5 @@
-// Engine tests, run on internal/compile's threaded artifacts: the engine
-// only executes what its dispatcher hands it.
+// Engine tests through the package's exported surface: the engine only
+// executes the Codes its dispatcher hands it.
 package interp_test
 
 import (
@@ -8,7 +8,6 @@ import (
 
 	"strider/internal/arch"
 	"strider/internal/classfile"
-	"strider/internal/compile"
 	"strider/internal/heap"
 	"strider/internal/interp"
 	"strider/internal/ir"
@@ -17,21 +16,21 @@ import (
 	"strider/internal/value"
 )
 
-// tierDisp runs every method in one tier: on its compile.BuildInterpreted
-// artifact, or on a compile.Build artifact built at its first invocation.
+// tierDisp runs every method in one tier: on its interp.BuildInterpreted
+// Code, or on an interp.Build Code built at its first invocation.
 type tierDisp struct {
 	p        *ir.Program
 	compiled bool
-	interp   []compile.Func
+	interp   []interp.Code
 	codes    map[*ir.Method]*interp.Code
 }
 
 func (d *tierDisp) Invoke(m *ir.Method, args []value.Value) *interp.Code {
 	c, ok := d.codes[m]
 	if !ok {
-		c = &interp.Code{NumRegs: m.NumRegs, Threaded: &d.interp[m.Index()]}
+		c = &d.interp[m.Index()]
 		if d.compiled {
-			c.Threaded = compile.Build(m, m.Code, d.p.Universe)
+			c = interp.Build(m, m.Code, m.NumRegs, d.p.Universe)
 		}
 		d.codes[m] = c
 	}
@@ -48,7 +47,7 @@ func newEngine(p *ir.Program, compiled bool) *interp.Engine {
 	machine := arch.Pentium4()
 	h := heap.New(1<<20, p.Universe)
 	mem := memsim.New(machine)
-	disp := &tierDisp{p: p, compiled: compiled, interp: compile.BuildInterpreted(p),
+	disp := &tierDisp{p: p, compiled: compiled, interp: interp.BuildInterpreted(p),
 		codes: make(map[*ir.Method]*interp.Code)}
 	return interp.New(p, h, mem, disp, machine)
 }

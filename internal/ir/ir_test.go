@@ -156,6 +156,14 @@ func TestValidateRejects(t *testing.T) {
 			{Op: OpCallVirt, Dst: NoReg, Args: []Reg{0}},
 			{Op: OpReturn, A: NoReg},
 		}}},
+		{"unknown opcode", &Method{Name: "m", NumRegs: 1, Code: []Instr{
+			{Op: Op(250)},
+			{Op: OpReturn, A: NoReg},
+		}}},
+		{"first opcode past the table", &Method{Name: "m", NumRegs: 1, Code: []Instr{
+			{Op: opCount},
+			{Op: OpReturn, A: NoReg},
+		}}},
 	}
 	for _, tc := range cases {
 		if err := Validate(tc.m); err == nil {

@@ -34,6 +34,9 @@ func Validate(m *Method) error {
 	var buf []Reg
 	for i := range m.Code {
 		in := &m.Code[i]
+		if in.Op >= opCount {
+			return fmt.Errorf("@%d: unknown opcode %s", i, in.Op)
+		}
 		// Uses must be valid.
 		buf = in.Uses(buf[:0])
 		for _, r := range buf {

@@ -132,6 +132,39 @@ func TestDynamicTrapAgreement(t *testing.T) {
 	}
 }
 
+// TestUnknownOpTrapAgreement: an opcode past the table fails validation,
+// and a program that carries one anyway traps as bad-operand on the oracle
+// and, through TrapClass of the engine's error, in every cell.
+func TestUnknownOpTrapAgreement(t *testing.T) {
+	build := func() *ir.Program {
+		p := ir.NewProgram(classfile.NewUniverse())
+		p.Entry = p.Define(&ir.Method{Name: "main", Returns: value.KindInt, NumRegs: 1, Code: []ir.Instr{
+			{Op: ir.OpConst, Dst: 0, Kind: value.KindInt, Imm: 7},
+			{Op: ir.Op(250)},
+			{Op: ir.OpReturn, A: 0},
+		}})
+		return p
+	}
+	if err := ir.Validate(build().Entry); err == nil {
+		t.Error("validation accepted an unknown opcode")
+	}
+	rep, err := Verify(build, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Reference.Trap != TrapBadOperand {
+		t.Errorf("oracle trapped %q, want %q", rep.Reference.Trap, TrapBadOperand)
+	}
+	for _, c := range rep.Cells {
+		if c.Fingerprint.Trap != TrapBadOperand {
+			t.Errorf("%s: engine trapped %q, want %q", c.Config, c.Fingerprint.Trap, TrapBadOperand)
+		}
+	}
+	if !rep.OK() {
+		t.Fatalf("%s", rep.Summary())
+	}
+}
+
 // TestOraclePrefetchBlind: a hand-assembled method carrying the
 // JIT-private ops must execute as if they were absent — no loads recorded,
 // register contents only ever feeding prefetch addresses.

@@ -3,9 +3,10 @@ package oracle
 // The differ: run one program through the full JIT+memsim stack under
 // every prefetching configuration on both machine models, and assert that
 // each run's architectural fingerprint equals the reference
-// interpreter's. Every cell runs its JIT-compiled methods on the threaded
-// tier (internal/compile), so the whole matrix also pins that tier. This
-// is the only file in the package that imports the real execution stack.
+// interpreter's. Every cell runs its methods, interpreted and
+// JIT-compiled, on the engine's threaded micro-ops (internal/interp), so
+// the whole matrix also pins both tiers. This is the only file in the
+// package that imports the real execution stack.
 
 import (
 	"errors"

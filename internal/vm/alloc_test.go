@@ -17,7 +17,7 @@ import (
 // artifacts, and cache metadata are all preallocated or pooled, so
 // simulation speed cannot degrade with allocator or GC pressure. Threaded
 // artifacts are built once — the interpreted ones at vm.New, the compiled
-// ones at JIT time — and the thread state lives in Engine.ExecScratch.
+// ones at JIT time — and the thread state is a field of the Engine.
 // Subtests are named mode/compiled after the tier that runs the
 // JIT-compiled methods.
 func TestSteadyStateRunZeroAllocs(t *testing.T) {

@@ -7,10 +7,10 @@
 // about to be executed ... actual values for the parameters are available
 // at compile time").
 //
-// Every activation runs on internal/compile's threaded micro-ops. New
-// builds an interpreted artifact for every method of the program, which
+// Every activation runs on the engine's threaded micro-ops (interp.Code).
+// New builds an interpreted Code for every method of the program, which
 // charges the machine's interpretation penalty; the JIT replaces a
-// method's artifact with a compiled one. Frames pushed before the
+// method's Code with a compiled one. Frames pushed before the
 // recompile keep their interpreted artifact, so mixed-mode execution —
 // and Table 3's compiled-code fractions — stay a simulated property.
 //
@@ -23,7 +23,6 @@ package vm
 
 import (
 	"strider/internal/arch"
-	"strider/internal/compile"
 	"strider/internal/core/jit"
 	"strider/internal/core/prefetch"
 	"strider/internal/heap"
@@ -151,7 +150,7 @@ type VM struct {
 type method struct {
 	// code is the artifact for the method's current tier: interpreted
 	// until the compile threshold, then the JIT-compiled body.
-	code interp.Code
+	code *interp.Code
 	// jit is the JIT artifact, nil while the method is interpreted.
 	jit *jit.Compiled
 	// count is the number of invocations up to and including the one
@@ -171,10 +170,10 @@ func New(prog *ir.Program, cfg Config) *VM {
 		Heap:   h,
 		Mem:    mem,
 	}
-	funcs := compile.BuildInterpreted(prog)
-	v.methods = make([]method, len(funcs))
-	for i, m := range prog.Methods() {
-		v.methods[i].code = interp.Code{NumRegs: m.NumRegs, Threaded: &funcs[i]}
+	codes := interp.BuildInterpreted(prog)
+	v.methods = make([]method, len(codes))
+	for i := range codes {
+		v.methods[i].code = &codes[i]
 	}
 	if cfg.JIT != nil {
 		v.JITOpts = *cfg.JIT
@@ -194,11 +193,11 @@ func New(prog *ir.Program, cfg Config) *VM {
 func (v *VM) Invoke(m *ir.Method, args []value.Value) *interp.Code {
 	s := &v.methods[m.Index()]
 	if s.jit != nil {
-		return &s.code
+		return s.code
 	}
 	s.count++
 	if s.count < v.Config.CompileThreshold {
-		return &s.code
+		return s.code
 	}
 	c := jit.Compile(v.Prog, v.Heap, m, args, v.JITOpts)
 	s.jit = c
@@ -219,8 +218,8 @@ func (v *VM) Invoke(m *ir.Method, args []value.Value) *interp.Code {
 			Prefetches:    c.Prefetch.Total(),
 		})
 	}
-	s.code = interp.Code{NumRegs: c.NumRegs, Threaded: compile.Build(m, c.Code, v.Prog.Universe)}
-	return &s.code
+	s.code = interp.Build(m, c.Code, c.NumRegs, v.Prog.Universe)
+	return s.code
 }
 
 func addStats(dst *prefetch.Stats, s prefetch.Stats) {
